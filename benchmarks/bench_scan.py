@@ -1,4 +1,4 @@
-"""Compare the compiled x-scan kernel against the pure-Python fallback.
+"""Time the sieve x-scan against the naive reference scan; assert equal points.
 
 Usage: python benchmarks/bench_scan.py [--x-bound N] [--curves K]
 """
@@ -8,21 +8,14 @@ from __future__ import annotations
 import argparse
 import time
 
-from integral_census import _scan_py
+from integral_census import _scan, _scan_py
 from integral_census.points import scan_backend_name
 
-try:
-    from integral_census import _scan
-except ImportError:
-    _scan = None
 
-
-def bench(fn, curves, x_bound: int) -> tuple[float, int]:
+def bench(fn, curves, x_bound: int) -> tuple[float, list]:
     t0 = time.perf_counter()
-    total = 0
-    for a, b in curves:
-        total += len(fn(a, b, -x_bound, x_bound))
-    return time.perf_counter() - t0, total
+    found = [fn(a, b, -x_bound, x_bound) for a, b in curves]
+    return time.perf_counter() - t0, found
 
 
 def main() -> None:
@@ -32,16 +25,16 @@ def main() -> None:
     args = ap.parse_args()
 
     curves = [(a, b) for a in range(-4, 4) for b in range(-3, 3)][: args.curves]
-    print(f"backend available: {scan_backend_name()}")
-    t_py, n_py = bench(_scan_py.scan_range, curves, args.x_bound)
-    print(f"pure-python: {t_py:.3f} s  ({n_py} points)")
-    if _scan is None:
-        print("compiled kernel not built; skipping")
-        return
-    t_c, n_c = bench(_scan.scan_range, curves, args.x_bound)
-    print(f"compiled:    {t_c:.3f} s  ({n_c} points)")
-    assert n_py == n_c, "backends disagree on point counts"
-    print(f"speedup: {t_py / t_c:.1f}x")
+    x_values = len(curves) * (2 * args.x_bound + 1)
+    print(f"backend: {scan_backend_name()}, {len(curves)} curves, |x| <= {args.x_bound}")
+    t_ref, ref = bench(_scan_py.scan_range, curves, args.x_bound)
+    t_sieve, got = bench(_scan.scan_range, curves, args.x_bound)
+    for (a, b), want, have in zip(curves, ref, got):
+        assert have == want, f"curve ({a}, {b}): sieve {have} != reference {want}"
+    n_points = sum(map(len, ref))
+    for name, t in (("reference", t_ref), ("sieve", t_sieve)):
+        print(f"{name:>9}: {t:.3f} s  {1e9 * t / x_values:.1f} ns/x  ({n_points} points)")
+    print(f"speedup: {t_ref / t_sieve:.1f}x, points identical")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exact group law, integral-point censuses, and small-point statistics.
 
-The x-scan dispatches to a compiled int64 kernel when the arithmetic
-provably fits in 64 bits, and to a pure-Python big-int scanner otherwise.
+The x-scan is one exact path for every magnitude: a numpy quadratic-residue
+sieve discards almost every x, and big-int ``math.isqrt`` confirms the rest
+(see ``_scan``).
 """
 
 from __future__ import annotations
@@ -10,13 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import _scan
 from .families import CurveModel, Family, enumerate_family
-
-try:
-    from . import _scan as _fast_scan
-except ImportError:  # extension not built; big-int path covers everything
-    _fast_scan = None
-from . import _scan_py as _pure_scan
 
 __all__ = [
     "Identity",
@@ -32,10 +28,6 @@ __all__ = [
     "small_point_statistics",
     "scan_backend_name",
 ]
-
-# largest magnitude the int64 kernel may see with slack: |x|^3 + |a||x| + |b|
-_INT64_SAFE = 2**62
-
 
 @dataclass(frozen=True)
 class CurvePoint:
@@ -105,16 +97,8 @@ def add(curve: CurveModel, p: CurvePoint, q: CurvePoint) -> CurvePoint:
     return CurvePoint(x3, y3)
 
 
-def _scan(a: int, b: int, x_lo: int, x_hi: int) -> list[tuple[int, int]]:
-    if _fast_scan is not None:
-        m = max(abs(x_lo), abs(x_hi))
-        if m**3 + abs(a) * m + abs(b) < _INT64_SAFE:
-            return _fast_scan.scan_range(a, b, x_lo, x_hi)
-    return _pure_scan.scan_range(a, b, x_lo, x_hi)
-
-
 def scan_backend_name() -> str:
-    return "compiled" if _fast_scan is not None else "pure-python"
+    return "sieve"
 
 
 def integral_points(curve: CurveModel, x_bound: int) -> list[tuple[int, int]]:
@@ -122,7 +106,7 @@ def integral_points(curve: CurveModel, x_bound: int) -> list[tuple[int, int]]:
     if x_bound < 1:
         raise ValueError("x_bound must be >= 1")
     out: list[tuple[int, int]] = []
-    for x, y in _scan(curve.a, curve.b, -x_bound, x_bound):
+    for x, y in _scan.scan_range(curve.a, curve.b, -x_bound, x_bound):
         out.append((x, y))
         if y != 0:
             out.append((x, -y))

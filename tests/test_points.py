@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from integral_census import _scan_py
+from integral_census import _scan, _scan_py
 from integral_census.families import CurveModel, Family
 from integral_census.points import (
     CurvePoint,
@@ -17,11 +17,6 @@ from integral_census.points import (
     on_curve,
     scan_backend_name,
 )
-
-try:
-    from integral_census import _scan
-except ImportError:
-    _scan = None
 
 
 def _point_on_random_curve(rng_x, rng_y, rng_a):
@@ -77,10 +72,10 @@ def test_group_law_commutes_and_associates(args):
 
 
 def test_scan_backends_agree():
-    for a, b in [(0, -2), (-2, 5), (1, 6), (-7, 10), (0, 17)]:
+    # (-1, 0) has a point at x = -max(|a|, |b|), the lowest x the scan visits
+    for a, b in [(0, -2), (-2, 5), (1, 6), (-7, 10), (0, 17), (-1, 0)]:
         pure = _scan_py.scan_range(a, b, -500, 500)
-        if _scan is not None:
-            assert _scan.scan_range(a, b, -500, 500) == pure
+        assert _scan.scan_range(a, b, -500, 500) == pure
         # every reported pair is a genuine point with y >= 0
         for x, y in pure:
             assert y >= 0 and y * y == x**3 + a * x + b
@@ -90,13 +85,52 @@ def test_scan_big_integers():
     # far beyond int64: x near 10^8 makes x^3 about 10^24
     x = 10**8 + 7
     b = 123**2 - x**3
-    pts = _scan_py.scan_range(0, b, x - 5, x + 5)
-    assert pts == [(x, 123)]
+    assert _scan_py.scan_range(0, b, x - 5, x + 5) == [(x, 123)]
+    # a span above the small-span cutoff goes through the sieve
+    assert _scan.scan_range(0, b, x - 500, x + 500) == [(x, 123)]
+
+
+_SPANS = [
+    1,
+    _scan._SMALL_SPAN - 1,
+    _scan._SMALL_SPAN,
+    _scan._SMALL_SPAN + 1,
+    _scan._CHUNK - 1,
+    _scan._CHUNK + 1,
+]
+_COEFF = st.integers(min_value=-(10**30), max_value=10**30)
+
+
+@given(
+    a=_COEFF,
+    b=_COEFF,
+    x_lo=st.one_of(
+        st.integers(min_value=-(10**6), max_value=10**6),
+        st.integers(min_value=10**19 - 10**6, max_value=10**19 + 10**6),
+        st.integers(min_value=-(10**19) - 10**6, max_value=-(10**19) + 10**6),
+    ),
+    span=st.sampled_from(_SPANS),
+    plant=st.one_of(st.none(), st.tuples(st.floats(0, 1), st.integers(0, 10**40))),
+)
+@settings(max_examples=60, deadline=None)
+def test_sieve_matches_reference_scan(a, b, x_lo, span, plant):
+    x_hi = x_lo + span - 1
+    if plant is not None:
+        # choose b so that (x0, y) lies on the curve: at least one point to find
+        where, y = plant
+        x0 = x_lo + min(span - 1, int(where * span))
+        b = y * y - x0**3 - a * x0
+    assert _scan.scan_range(a, b, x_lo, x_hi) == _scan_py.scan_range(a, b, x_lo, x_hi)
 
 
 def test_integral_points_fermat():
     pts = integral_points(CurveModel(0, -2), 10**4)
     assert pts == [(3, -5), (3, 5)]
+
+
+def test_integral_points_fermat_past_int64_guard():
+    # |x|^3 passes 2^62 from |x| ~ 1.66e6 on; the scan stays exact there
+    assert integral_points(CurveModel(0, -2), 2_000_000) == [(3, -5), (3, 5)]
 
 
 def test_integral_points_sorted_and_symmetric():
@@ -138,4 +172,4 @@ def test_census_rejects_empty_slice():
 
 
 def test_backend_name_reports_build():
-    assert scan_backend_name() in ("compiled", "pure-python")
+    assert scan_backend_name() == "sieve"
