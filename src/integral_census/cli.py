@@ -1,9 +1,9 @@
 """Command-line front end: validation, dispatch, and report emission.
 
 Every run emits a JSON document containing the validated config and a
-content hash of (config, results).  Runtime-only knobs (thread count,
-output path) are excluded from the document so identical computations
-produce byte-identical JSON regardless of parallelism.
+content hash of (config, results).  Every run is serial; the output path
+and the accepted-but-ignored ``--threads`` flag are excluded from the
+document, so identical computations produce byte-identical JSON.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import codes, divpoly, heights, optimizer, points, repulsion
@@ -48,16 +47,19 @@ def _finalize(config: dict, results: dict) -> dict:
 def _parse_curve(text: str) -> CurveModel:
     try:
         a_str, b_str = text.split(",")
-        return CurveModel(int(a_str), int(b_str))
+        curve = CurveModel(int(a_str), int(b_str))
     except Exception as exc:
         raise ValueError(f"bad curve spec {text!r}, expected 'a,b'") from exc
+    if curve.disc() == 0:
+        raise ValueError(f"curve {text!r} is singular: 4a^3 + 27b^2 = 0")
+    return curve
 
 
-def _mapper(threads: int):
-    if threads <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map, pool
+def _x_bound(args) -> int:
+    x_bound = 10**4 if args.x_bound is None else args.x_bound
+    if x_bound < 1:
+        raise ValueError("--x-bound must be >= 1")
+    return x_bound
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--x-bound", type=int, default=None)
     common.add_argument("--delta", type=float, default=0.1)
     common.add_argument("--precision", type=float, default=1e-10)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument("--threads", type=int, default=1, help="ignored; every run is serial")
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -123,13 +125,13 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
         return 1, None
     try:
         doc = handler(args)
-    except (ValueError, KeyError) as exc:
+        _emit(args, doc)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
     except (ArithmeticError, RuntimeError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2, None
-    _emit(args, doc)
     return 0, doc
 
 
@@ -157,55 +159,50 @@ def _family(args) -> Family:
 
 
 def _cmd_census(args) -> dict:
-    x_bound = args.x_bound or 10**4
-    mapper, pool = _mapper(args.threads)
-    try:
-        if args.curve:
-            curve = _parse_curve(args.curve)
-            config = {"subcommand": "census", "curve": curve.to_record(), "x_bound": x_bound}
-            pts = points.integral_points(curve, x_bound)
-            results = {
-                "points": [list(p) for p in pts],
-                "integral_count": len(pts),
-            }
-        else:
-            fam = _family(args)
-            if args.T is None:
-                raise ValueError("--T required")
-            config = {
-                "subcommand": "census",
-                "family": fam.value,
-                "T": args.T,
-                "x_bound": x_bound,
-            }
-            summary = points.census(fam, args.T, x_bound, mapper=mapper)
-            results = {
-                "curve_count": summary.curve_count,
-                "total_points": summary.total_points,
-                "average": summary.average,
-                "rows": [
-                    {
-                        "a": str(r.curve.a),
-                        "b": str(r.curve.b),
-                        "integral_count": r.integral_count,
-                        "points": [list(p) for p in r.points],
-                    }
-                    for r in summary.rows
-                ],
-                "csv_rows": [["a", "b", "naive_height", "integral_count"]]
-                + [
-                    [
-                        str(r.curve.a),
-                        str(r.curve.b),
-                        float(naive_height(r.curve.a, r.curve.b)),
-                        r.integral_count,
-                    ]
-                    for r in summary.rows
-                ],
-            }
-    finally:
-        if pool:
-            pool.shutdown()
+    x_bound = _x_bound(args)
+    if args.curve:
+        curve = _parse_curve(args.curve)
+        config = {"subcommand": "census", "curve": curve.to_record(), "x_bound": x_bound}
+        pts = points.integral_points(curve, x_bound)
+        results = {
+            "points": [list(p) for p in pts],
+            "integral_count": len(pts),
+        }
+    else:
+        fam = _family(args)
+        if args.T is None:
+            raise ValueError("--T required")
+        config = {
+            "subcommand": "census",
+            "family": fam.value,
+            "T": args.T,
+            "x_bound": x_bound,
+        }
+        summary = points.census(fam, args.T, x_bound)
+        results = {
+            "curve_count": summary.curve_count,
+            "total_points": summary.total_points,
+            "average": summary.average,
+            "rows": [
+                {
+                    "a": str(r.curve.a),
+                    "b": str(r.curve.b),
+                    "integral_count": r.integral_count,
+                    "points": [list(p) for p in r.points],
+                }
+                for r in summary.rows
+            ],
+            "csv_rows": [["a", "b", "naive_height", "integral_count"]]
+            + [
+                [
+                    str(r.curve.a),
+                    str(r.curve.b),
+                    float(naive_height(r.curve.a, r.curve.b)),
+                    r.integral_count,
+                ]
+                for r in summary.rows
+            ],
+        }
     return _finalize(config, results)
 
 
@@ -249,7 +246,7 @@ def _cmd_gap_survey(args) -> dict:
     fam = _family(args)
     if args.T is None:
         raise ValueError("--T required")
-    x_bound = args.x_bound or 10**4
+    x_bound = _x_bound(args)
     if args.min_height == "auto":
         min_height = (5 - args.delta) * math.log(args.T)
     else:
@@ -263,21 +260,15 @@ def _cmd_gap_survey(args) -> dict:
         "min_height": min_height,
         "restricted": bool(args.restrict_filtered),
     }
-    mapper, pool = _mapper(args.threads)
-    try:
-        results = repulsion.repulsion_survey(
-            fam,
-            args.T,
-            x_bound,
-            min_height=min_height,
-            precision_goal=args.precision,
-            delta=args.delta,
-            restrict_filtered=args.restrict_filtered,
-            mapper=mapper,
-        )
-    finally:
-        if pool:
-            pool.shutdown()
+    results = repulsion.repulsion_survey(
+        fam,
+        args.T,
+        x_bound,
+        min_height=min_height,
+        precision_goal=args.precision,
+        delta=args.delta,
+        restrict_filtered=args.restrict_filtered,
+    )
     return _finalize(config, results)
 
 
@@ -409,63 +400,56 @@ def _cmd_optimize(args) -> dict:
 
 def _cmd_verify_identities(args) -> dict:
     results: dict = {}
+    x_bound = _x_bound(args)
     config = {
         "subcommand": "verify-identities",
         "check": args.check,
         "coeff_bound": args.coeff_bound,
-        "x_bound": args.x_bound or 10**4,
+        "x_bound": x_bound,
     }
-    mapper, pool = _mapper(args.threads)
-    try:
-        if args.check in ("mod3", "all"):
-            x_bound = args.x_bound or 10**4
-            bound = args.coeff_bound
-            curves = [
-                CurveModel(a, b)
-                for a in range(-bound, bound + 1)
-                for b in range(-bound, bound + 1)
-                if a % 3 == 2 and b % 3 == 2 and CurveModel(a, b).disc() != 0
-            ]
-            counts = list(
-                mapper(lambda c: len(points.integral_points(c, x_bound)), curves)
-            )
-            results["mod3"] = {
-                "curves_checked": len(curves),
-                "all_empty": all(n == 0 for n in counts),
-                "nonempty": [
-                    c.to_record() for c, n in zip(curves, counts) if n
-                ],
-            }
-        if args.check in ("triple-root", "all"):
-            ok = divpoly.triple_root_identity_check(
-                CurveModel(1, 6), CurvePoint.affine(3, 6), 100
-            )
-            results["triple_root"] = {"holds": ok}
-        if args.check in ("mult", "all"):
-            import random
+    if args.check in ("mod3", "all"):
+        bound = args.coeff_bound
+        curves = [
+            CurveModel(a, b)
+            for a in range(-bound, bound + 1)
+            for b in range(-bound, bound + 1)
+            if a % 3 == 2 and b % 3 == 2 and CurveModel(a, b).disc() != 0
+        ]
+        counts = [len(points.integral_points(c, x_bound)) for c in curves]
+        results["mod3"] = {
+            "curves_checked": len(curves),
+            "all_empty": all(n == 0 for n in counts),
+            "nonempty": [
+                c.to_record() for c, n in zip(curves, counts) if n
+            ],
+        }
+    if args.check in ("triple-root", "all"):
+        ok = divpoly.triple_root_identity_check(
+            CurveModel(1, 6), CurvePoint.affine(3, 6), 100
+        )
+        results["triple_root"] = {"holds": ok}
+    if args.check in ("mult", "all"):
+        import random
 
-            rng = random.Random(12345)
-            from .points import add
+        rng = random.Random(12345)
+        from .points import add
 
-            failures = 0
-            trials = 0
-            while trials < 25:
-                x, y, a = rng.randint(-9, 9), rng.randint(1, 9), rng.randint(-9, 9)
-                b = y * y - x**3 - a * x
-                curve = CurveModel(a, b)
-                if curve.disc() == 0:
-                    continue
-                trials += 1
-                pt = CurvePoint.affine(x, y)
-                acc = pt
-                for n in range(2, 9):
-                    acc = add(curve, acc, pt)
-                    if divpoly.multiply_point(curve, pt, n) != acc:
-                        failures += 1
-            results["mult"] = {"trials": trials, "failures": failures}
-    finally:
-        if pool:
-            pool.shutdown()
+        failures = 0
+        trials = 0
+        while trials < 25:
+            x, y, a = rng.randint(-9, 9), rng.randint(1, 9), rng.randint(-9, 9)
+            b = y * y - x**3 - a * x
+            curve = CurveModel(a, b)
+            if curve.disc() == 0:
+                continue
+            trials += 1
+            pt = CurvePoint.affine(x, y)
+            acc = pt
+            for n in range(2, 9):
+                acc = add(curve, acc, pt)
+                if divpoly.multiply_point(curve, pt, n) != acc:
+                    failures += 1
+        results["mult"] = {"trials": trials, "failures": failures}
     return _finalize(config, results)
 
 

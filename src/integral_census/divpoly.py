@@ -11,9 +11,9 @@ recursion on exact rational values.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,12 +70,6 @@ class DivPoly:
             for (fx, fa, fb), c in self.terms.items()
             if fx == fx_target
         }
-
-    def dump_terms(self) -> list[dict]:
-        return [
-            {"f_x": fx, "f_A": fa, "f_B": fb, "coeff": str(c)}
-            for (fx, fa, fb), c in sorted(self.terms.items())
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +152,8 @@ def _psi(n: int) -> DivPoly:
     if n in _psi_cache:
         return _psi_cache[n]
     path = _cache_path(n)
-    if path and os.path.exists(path):
-        with open(path, "rb") as fh:
-            poly = pickle.load(fh)
+    poly = _load_cached(path, n) if path else None
+    if poly is not None:
         _psi_cache[n] = poly
         return poly
     if n in _BASE:
@@ -197,9 +190,31 @@ def _psi(n: int) -> DivPoly:
         poly = DivPoly(n, 1, w, _wscale_div(t, 2))
     _psi_cache[n] = poly
     if path:
-        with open(path, "wb") as fh:
-            pickle.dump(poly, fh)
+        _store_cached(path, poly)
     return poly
+
+
+def _load_cached(path: str, n: int) -> DivPoly | None:
+    """The cached psi_n, or None when the file is missing, truncated or
+    holds anything else; the caller then recomputes and rewrites it."""
+    try:
+        with open(path, "rb") as fh:
+            poly = pickle.load(fh)
+    except Exception:  # damaged bytes can fail in pickle with almost any error
+        return None
+    return poly if isinstance(poly, DivPoly) and poly.n == n else None
+
+
+def _store_cached(path: str, poly: DivPoly) -> None:
+    # a reader sees either no file or a complete one, never a partial write
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(poly, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _wpow3_mul(p_lin: DivPoly, p_cub: DivPoly) -> tuple[int, dict]:
@@ -412,8 +427,3 @@ def denominator_of_multiple(
     if q.is_identity:
         return None
     return q.x.denominator
-
-
-def dump_coefficients(n: int) -> str:
-    """JSON dump of psi_n coefficients for external consumption."""
-    return json.dumps(psi(n).dump_terms())

@@ -94,12 +94,8 @@ def naive_height(a: int, b: int) -> mp.mpf:
         return mp.mpf(m) ** (mp.mpf(1) / 6)
 
 
-def squarefull_part(n: int, time_budget: float | None = None) -> int:
-    """Product of p^v_p(n) over primes with p^2 | n.
-
-    time_budget is accepted for interface stability; factorization of every
-    value arising at suite scale is instant, so no cutoff is enforced.
-    """
+def squarefull_part(n: int) -> int:
+    """Product of p^v_p(n) over primes with p^2 | n."""
     if n == 0:
         raise ValueError("squarefull_part requires nonzero input")
     out = 1

@@ -47,7 +47,6 @@ class HeightProfile:
     canonical: float
     local: dict = field(default_factory=dict)
     precision_goal: float = 1e-10
-    local_exact: dict = field(default_factory=dict)  # prime -> Fraction coeff of log p
     is_torsion: bool = False
 
 
@@ -311,7 +310,6 @@ def canonical_height(
         x_real = mp.mpf(p.x.numerator) / mp.mpf(p.x.denominator)
         lam_inf = _lambda_inf(curve, x_real, mp.mpf(precision_goal))
         locals_out = {"infinity": float(lam_inf)}
-        exact = {}
         total = lam_inf
         primes = set()
         import sympy
@@ -320,7 +318,6 @@ def canonical_height(
         primes.update(sympy.factorint(p.x.denominator).keys())
         for q in sorted(primes):
             coeff = _lambda_p_exact(curve, q, p)
-            exact[q] = coeff
             if coeff:
                 val = coeff.numerator * mp.log(q) / coeff.denominator
                 locals_out[str(q)] = float(val)
@@ -332,7 +329,6 @@ def canonical_height(
             canonical=float(total),
             local=locals_out,
             precision_goal=precision_goal,
-            local_exact=exact,
         )
 
 
@@ -342,7 +338,9 @@ def height_pairing(
     q: CurvePoint,
     precision_goal: float = 1e-10,
 ) -> dict:
-    """Bilinear pairing (h_hat(P+Q) - h_hat(P) - h_hat(Q)) / 2 and its angle."""
+    """Bilinear pairing (h_hat(P+Q) - h_hat(P) - h_hat(Q)) / 2 and its angle.
+
+    The three canonical heights are returned as h_p, h_q and h_sum."""
     hp = canonical_height(curve, p, precision_goal).canonical
     hq = canonical_height(curve, q, precision_goal).canonical
     s = add(curve, p, q)
@@ -351,7 +349,7 @@ def height_pairing(
     cos_angle = None
     if hp > 10 * precision_goal and hq > 10 * precision_goal:
         cos_angle = pairing / math.sqrt(hp * hq)
-    return {"pairing": pairing, "cos_angle": cos_angle, "h_p": hp, "h_q": hq}
+    return {"pairing": pairing, "cos_angle": cos_angle, "h_p": hp, "h_q": hq, "h_sum": hs}
 
 
 def height_gap_report(

@@ -56,7 +56,6 @@ class OptimizerParams:
     s: int
     J_by_rank: dict[int, float] = field(default_factory=dict)
     J_default: float = 1.2
-    delta_terms_dropped: bool = True
     appendix_c_variant: bool = False  # C = 5 Dtilde instead of 5 Dtilde^2
 
     def J(self, r: int) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _scan
 from .families import CurveModel, Family, enumerate_family
@@ -124,28 +124,21 @@ def census(
     T: float,
     x_bound: int,
     curves: Sequence[CurveModel] | None = None,
-    mapper=map,
 ) -> CensusSummary:
-    """Integral-point counts per curve plus the family average.
-
-    mapper lets callers supply an executor map; merging is order-preserving
-    so results are deterministic for any worker count.
-    """
+    """Integral-point counts per curve, in enumeration order, plus the
+    family average."""
     if T < 1 or x_bound < 1:
         raise ValueError("T and x_bound must be >= 1")
     if curves is None:
         curves = list(enumerate_family(family, T))
     if not curves:
         raise ValueError("empty family slice")
-    rows = list(mapper(_census_one, [(c, x_bound) for c in curves]))
+    rows = []
+    for curve in curves:
+        pts = integral_points(curve, x_bound)
+        rows.append(CensusRow(curve, len(pts), pts, x_bound))
     total = sum(r.integral_count for r in rows)
     return CensusSummary(total, len(rows), total / len(rows), rows)
-
-
-def _census_one(args: tuple[CurveModel, int]) -> CensusRow:
-    curve, x_bound = args
-    pts = integral_points(curve, x_bound)
-    return CensusRow(curve, len(pts), pts, x_bound)
 
 
 def small_point_statistics(family: Family, T: float, exponent: float) -> dict:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .families import CurveModel, Family, enumerate_family, filter_diagnostics
-from .heights import canonical_height, height_pairing, weil_height
-from .points import CurvePoint, add, integral_points, negate
+from .heights import height_pairing, weil_height
+from .points import CurvePoint, integral_points
 
 __all__ = ["PairStat", "gap_excess", "repulsion_survey"]
 
@@ -43,40 +43,11 @@ def gap_excess(
         raise ValueError("pair must satisfy P != +-R")
     P = CurvePoint.affine(*p)
     R = CurvePoint.affine(*r)
-    s = add(curve, P, R)
     h_p, h_r = weil_height(P), weil_height(R)
-    hhat_sum = (
-        0.0 if s.is_identity else canonical_height(curve, s, precision_goal).canonical
-    )
-    excess = hhat_sum - 2 * max(h_p, h_r) - min(h_p, h_r)
     pairing = height_pairing(curve, P, R, precision_goal)
+    hhat_sum = pairing["h_sum"]
+    excess = hhat_sum - 2 * max(h_p, h_r) - min(h_p, h_r)
     return PairStat(curve, p, r, h_p, h_r, hhat_sum, excess, pairing["cos_angle"])
-
-
-def _survey_one(args) -> dict:
-    curve, x_bound, min_height, delta, T, restrict, precision_goal = args
-    if restrict:
-        diag = filter_diagnostics(curve, T, delta, x_bound_cap=x_bound, lazy=True)
-        if not diag.passes_all:
-            return {"pairs": [], "skipped": True}
-    pts = [
-        pt
-        for pt in integral_points(curve, x_bound)
-        if weil_height(CurvePoint.affine(*pt)) >= min_height
-    ]
-    out = []
-    seen = set()
-    for i, p in enumerate(pts):
-        for r in pts[i + 1 :]:
-            if p[0] == r[0] and p[1] == -r[1]:
-                continue
-            key = tuple(sorted((p, r)))
-            if key in seen:
-                continue
-            seen.add(key)
-            stat = gap_excess(curve, p, r, precision_goal)
-            out.append(stat)
-    return {"pairs": out, "skipped": False}
 
 
 def repulsion_survey(
@@ -87,7 +58,6 @@ def repulsion_survey(
     precision_goal: float = 1e-8,
     delta: float = 0.1,
     restrict_filtered: bool = False,
-    mapper=map,
 ) -> dict:
     """Excess and angle statistics over all qualifying point pairs.
 
@@ -96,17 +66,29 @@ def repulsion_survey(
     undefined (tiny canonical height) are counted separately.
     """
     curves = list(enumerate_family(family, T))
-    jobs = [
-        (c, x_bound, min_height, delta, T, restrict_filtered, precision_goal)
-        for c in curves
-    ]
     max_excess = None
     pair_count = 0
     undefined_angle = 0
     deviations: list[float] = []
     worst: list[dict] = []
-    for res in mapper(_survey_one, jobs):
-        for stat in res["pairs"]:
+    for curve in curves:
+        if restrict_filtered and not filter_diagnostics(
+            curve, T, delta, x_bound_cap=x_bound, lazy=True
+        ).passes_all:
+            continue
+        pts = [
+            pt
+            for pt in integral_points(curve, x_bound)
+            if weil_height(CurvePoint.affine(*pt)) >= min_height
+        ]
+        # pts is sorted and duplicate-free, so i < j visits each pair once
+        stats = [
+            gap_excess(curve, p, r, precision_goal)
+            for i, p in enumerate(pts)
+            for r in pts[i + 1 :]
+            if not (p[0] == r[0] and p[1] == -r[1])
+        ]
+        for stat in stats:
             pair_count += 1
             if max_excess is None or stat.excess > max_excess:
                 max_excess = stat.excess

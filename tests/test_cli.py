@@ -56,6 +56,48 @@ def test_bad_curve_spec_exits_1(capsys):
     assert status == 1 and doc is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--curve", "0,0"],
+        ["heights", "--curve", "0,0", "--point", "1,1"],
+    ],
+)
+def test_singular_curve_exits_1(argv, capsys):
+    status, doc = run(argv)
+    assert status == 1 and doc is None
+    assert "singular" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--curve", "0,-2"],
+        ["census", "--family", "mordell", "--T", "3"],
+        ["gap-survey", "--family", "mordell", "--T", "3", "--restrict-filtered"],
+        ["verify-identities", "--check", "mod3", "--coeff-bound", "2"],
+    ],
+)
+def test_zero_x_bound_exits_1(argv, capsys):
+    status, doc = run(argv + ["--x-bound", "0"])
+    assert status == 1 and doc is None
+    assert "--x-bound must be >= 1" in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    status, doc = run(["optimize", "--config", str(tmp_path / "absent.cfg")])
+    assert status == 1 and doc is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    out = tmp_path / "absent" / "x.json"
+    status, doc = run(["census", "--curve", "0,-2", "--x-bound", "10", "--out", str(out)])
+    assert status == 1 and doc is None
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_heights_subcommand(capsys):
     status, doc, _ = _run(
         ["heights", "--curve", "0,-2", "--point", "3,5"], capsys

@@ -135,6 +135,28 @@ def test_psi_cache_roundtrip(tmp_path, monkeypatch):
         divpoly._psi_cache.update(fresh)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "other_n"])
+def test_psi_cache_recovers_from_bad_file(damage, tmp_path, monkeypatch):
+    monkeypatch.setenv(divpoly.CACHE_ENV, str(tmp_path))
+    fresh = dict(divpoly._psi_cache)
+    divpoly._psi_cache.clear()
+    try:
+        want = psi(9)
+        blob = (tmp_path / "psi_9.pkl").read_bytes()
+        if damage == "truncated":
+            bad = blob[: len(blob) // 2]
+        else:
+            bad = (tmp_path / "psi_5.pkl").read_bytes()
+        (tmp_path / "psi_9.pkl").write_bytes(bad)
+        divpoly._psi_cache.clear()
+        assert psi(9) == want
+        assert (tmp_path / "psi_9.pkl").read_bytes() == blob  # rewritten whole
+        assert not list(tmp_path.glob("*.tmp"))
+    finally:
+        divpoly._psi_cache.clear()
+        divpoly._psi_cache.update(fresh)
+
+
 def test_psi_bounds():
     with pytest.raises(ValueError):
         psi(0)

@@ -152,20 +152,6 @@ def test_census_universal_T2():
     assert summary.average == pytest.approx(summary.total_points / 14)
 
 
-def test_census_deterministic_under_mapper_split():
-    def chunked_mapper(fn, jobs):
-        jobs = list(jobs)
-        out = []
-        for i in range(0, len(jobs), 3):
-            out.extend(map(fn, jobs[i : i + 3]))
-        return out
-
-    base = census(Family.MORDELL, 3, 500)
-    split = census(Family.MORDELL, 3, 500, mapper=chunked_mapper)
-    assert [r.points for r in base.rows] == [r.points for r in split.rows]
-    assert base.total_points == split.total_points
-
-
 def test_census_rejects_empty_slice():
     with pytest.raises(ValueError):
         census(Family.CONGRUENT, 1, 100)
