@@ -62,6 +62,25 @@ def _x_bound(args) -> int:
     return x_bound
 
 
+def _fraction(value, what: str) -> Fraction:
+    """Fraction(value) for a number or a string such as '8/9'; anything
+    else, a zero denominator or a non-finite float is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{what} must be a number or a fraction string, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"{what}: {value!r} is not a finite rational number") from exc
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="integral-census",
@@ -223,7 +242,8 @@ def _cmd_small_points(args) -> dict:
 def _cmd_heights(args) -> dict:
     curve = _parse_curve(args.curve)
     x_str, y_str = args.point.split(",")
-    pt = CurvePoint(Fraction(x_str), Fraction(y_str))
+    what = f"point {args.point!r}"
+    pt = CurvePoint(_fraction(x_str, what), _fraction(y_str, what))
     config = {
         "subcommand": "heights",
         "curve": curve.to_record(),
@@ -273,6 +293,8 @@ def _cmd_gap_survey(args) -> dict:
 
 
 def _cmd_divpoly_verify(args) -> dict:
+    if args.n_max < 2:
+        raise ValueError("--n-max must be >= 2")
     config = {
         "subcommand": "divpoly-verify",
         "n_max": args.n_max,
@@ -356,17 +378,29 @@ def _cmd_optimize(args) -> dict:
         else optimizer.RankModel.moments()
     )
     if "moment_caps" in overrides:
-        model.moment_caps = [tuple(x) for x in overrides["moment_caps"]]
+        caps = overrides["moment_caps"]
+        if not (
+            isinstance(caps, list)
+            and all(isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)) for x in caps)
+        ):
+            raise ValueError(f"moment_caps must be a list of [base, cap] number pairs, got {caps!r}")
+        model.moment_caps = [tuple(x) for x in caps]
     if "floors" in overrides:
-        model.floors = dict(overrides["floors"])
+        floors = overrides["floors"]
+        if not (isinstance(floors, dict) and all(map(_is_number, floors.values()))):
+            raise ValueError(f"floors must map names to numbers, got {floors!r}")
+        model.floors = dict(floors)
     if "density" in overrides:
-        model.density = Fraction(overrides["density"]).limit_denominator(10**6)
-    params = optimizer.OptimizerParams(
-        c=float(overrides.get("c", optimizer.REFERENCE_PARAMS.c)),
-        D=float(overrides.get("D", optimizer.REFERENCE_PARAMS.D)),
-        s=int(overrides.get("s", optimizer.REFERENCE_PARAMS.s)),
-        J_default=float(overrides.get("J", 1.2)),
-    )
+        model.density = _fraction(overrides["density"], "density").limit_denominator(10**6)
+    try:
+        params = optimizer.OptimizerParams(
+            c=float(overrides.get("c", optimizer.REFERENCE_PARAMS.c)),
+            D=float(overrides.get("D", optimizer.REFERENCE_PARAMS.D)),
+            s=int(overrides.get("s", optimizer.REFERENCE_PARAMS.s)),
+            J_default=float(overrides.get("J", 1.2)),
+        )
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"c, D, s and J must be numbers: {exc}") from exc
     config = {
         "subcommand": "optimize",
         "model": args.model,
@@ -378,6 +412,11 @@ def _cmd_optimize(args) -> dict:
     }
     if args.search:
         grid = overrides.get("grid")
+        if grid is not None and not (
+            isinstance(grid, dict)
+            and all(isinstance(v, list) and all(map(_is_number, v)) for v in grid.values())
+        ):
+            raise ValueError(f"grid must map parameter names to lists of numbers, got {grid!r}")
         report = optimizer.optimize(model, grid)
     else:
         report = optimizer.aggregate_bound(model, params)

@@ -29,7 +29,7 @@ __all__ = [
 _THETA_EDGE = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeBoundResult:
     r: int
     theta: float
@@ -189,8 +189,23 @@ def lp_bound(
     )
 
 
+# (r, theta) -> best_code_bound result; callers share the frozen results
+_BEST: dict[tuple[int, float], CodeBoundResult] = {}
+
+
 def best_code_bound(r: int, theta: float) -> CodeBoundResult:
-    """Minimum over the applicable certified methods for lines in R^r."""
+    """Minimum over the applicable certified methods for lines in R^r.
+
+    Memoized by (r, theta): the optimizer asks for the same bound for every
+    parameter vector that shares a J = 2 cos theta.
+    """
+    result = _BEST.get((r, theta))
+    if result is None:
+        result = _BEST[(r, theta)] = _best_code_bound(r, theta)
+    return result
+
+
+def _best_code_bound(r: int, theta: float) -> CodeBoundResult:
     if r < 2:
         raise ValueError("r must be >= 2")
     if r == 2:

@@ -321,6 +321,8 @@ def verify_coeff_growth(
     """
     import math
 
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
     if K1 <= 1 or K3 <= 1 or K2 < 0:
         raise ValueError("require K1 > 1, K3 > 1, K2 >= 0")
     worst = 0.0

@@ -7,6 +7,11 @@ parameters into per-rank integral-point bounds through the code-bound
 module, then aggregate over a rank distribution: either an explicit
 distribution or a worst-case linear program constrained by moment caps
 and proportion floors, with a geometric tail envelope above r_max.
+
+``aggregate_bound`` checks the constraints once per parameter vector, not
+once per rank, and the code bounds are memoized by (r, theta) in
+``codes.best_code_bound``, so parameter vectors that share a J share
+their LP solves.
 """
 
 from __future__ import annotations
@@ -158,32 +163,49 @@ def check_constraints(params: OptimizerParams) -> dict:
         }
 
 
+def _feasible_constraints(params: OptimizerParams) -> dict:
+    """check_constraints, raising ValueError unless both inequalities hold."""
+    verdict = check_constraints(params)
+    if not (verdict["iv_empty"] and verdict["roth_count"]):
+        raise ValueError("parameters fail the feasibility constraints")
+    return verdict
+
+
 def per_rank_bound(r: int, params: OptimizerParams, code_fn=best_code_bound) -> float:
     """Integral-point bound for curves of rank r under feasible parameters."""
     if r < 0:
         raise ValueError("rank must be nonnegative")
+    if r < 2:
+        return _rank_bound(r, params, None, code_fn)
+    _feasible_constraints(params)
+    return _rank_bound(r, params, float(d_tilde(params.D)), code_fn)
+
+
+def _rank_bound(
+    r: int, params: OptimizerParams, dt: float | None, code_fn=best_code_bound
+) -> float:
+    """per_rank_bound without the feasibility check; dt = float(d_tilde(D))
+    and is unused below rank 2."""
     if r == 0:
         return 0.0
     if r == 1:
         return 2.0
-    verdict = check_constraints(params)
-    if not (verdict["iv_empty"] and verdict["roth_count"]):
-        raise ValueError("parameters fail the feasibility constraints")
     j = params.J(r)
-    dt = float(d_tilde(params.D))
     shells = math.ceil(math.log(dt) / math.log(j))
     code = code_fn(r, math.acos(j / 2)).bound
     return 2 * r * shells * code + 9 * params.s * (3**r - 1)
 
 
-def _tail_bound(params: OptimizerParams, model: RankModel, r_max: int) -> float:
+def _tail_bound(
+    params: OptimizerParams, dt: float, model: RankModel, r_max: int
+) -> float:
     """sum_{r > r_max} cap * b_r / base^r using the fastest-decaying cap."""
     if model.kind == "explicit" or not model.moment_caps:
         return 0.0
     base, cap = max(model.moment_caps, key=lambda bc: bc[0])
     total = 0.0
     for r in range(r_max + 1, r_max + 200):
-        term = cap * per_rank_bound(r, params) / base**r
+        term = cap * _rank_bound(r, params, dt) / base**r
         total += term
         if term < 1e-16:
             break
@@ -193,10 +215,14 @@ def _tail_bound(params: OptimizerParams, model: RankModel, r_max: int) -> float:
 def aggregate_bound(
     model: RankModel, params: OptimizerParams = REFERENCE_PARAMS, r_max: int = 40
 ) -> BoundReport:
-    """Average integral-point bound under a rank-distribution model."""
-    constraints = check_constraints(params)
-    per_rank = {r: per_rank_bound(r, params) for r in range(0, r_max + 1)}
-    tail = _tail_bound(params, model, min(r_max, 20))
+    """Average integral-point bound under a rank-distribution model.
+
+    Raises ValueError if the parameters fail the feasibility constraints.
+    """
+    constraints = _feasible_constraints(params)
+    dt = float(d_tilde(params.D))
+    per_rank = {r: _rank_bound(r, params, dt) for r in range(0, r_max + 1)}
+    tail = _tail_bound(params, dt, model, min(r_max, 20))
     if model.kind == "explicit":
         probs = model.probabilities or {}
         total = sum(probs.values())

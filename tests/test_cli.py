@@ -115,6 +115,13 @@ def test_heights_off_curve_point_exits_1(capsys):
     assert status == 1 and doc is None
 
 
+def test_heights_zero_denominator_point_exits_1(capsys):
+    status, doc = run(["heights", "--curve", "0,-2", "--point", "1/0,1"])
+    assert status == 1 and doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1/0,1" in err
+
+
 def test_code_bound_methods(capsys):
     theta = "1.0471975511965976"
     status, doc, _ = _run(["code-bound", "--r", "2", "--theta", theta], capsys)
@@ -142,6 +149,39 @@ def test_optimize_config_override(tmp_path, capsys):
     assert doc["config"]["D"] == 700.0 and doc["config"]["s"] == 4
 
 
+@pytest.mark.parametrize(
+    "line, search",
+    [
+        ("moment_caps = 3", False),
+        ("moment_caps = [[3, 4.0], [5]]", False),
+        ("floors = [0.2]", False),
+        ('floors = {"rank0": "high"}', False),
+        ("density = [8, 9]", False),
+        ("density = 1/0", False),
+        ("grid = 5", True),
+        ('grid = {"c": 0.99}', True),
+        ("D = [700.0]", False),
+    ],
+)
+def test_optimize_config_bad_shape_exits_1(tmp_path, capsys, line, search):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["optimize", "--model", "minimalist", "--config", str(cfg)]
+    status, doc = run(argv + ["--search"] * search)
+    assert status == 1 and doc is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_optimize_config_density_fraction(tmp_path, capsys):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("density = 2/3\n")
+    status, doc, _ = _run(
+        ["optimize", "--model", "minimalist", "--config", str(cfg)], capsys
+    )
+    assert status == 0
+    assert doc["results"]["aggregate"] == pytest.approx(2 / 3, abs=1e-12)
+
+
 def test_verify_identities_mod3_small(capsys):
     status, doc, _ = _run(
         ["verify-identities", "--check", "mod3", "--coeff-bound", "8",
@@ -157,6 +197,13 @@ def test_divpoly_verify(capsys):
     res = doc["results"]
     assert res["homogeneous"] and res["leading_ok"]
     assert res["coeff_growth"]["all_within"]
+
+
+@pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+def test_divpoly_verify_empty_range_exits_1(n_max, capsys):
+    status, doc = run(["divpoly-verify", "--n-max", n_max])
+    assert status == 1 and doc is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gap_survey_json(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import mpmath as mp
 import pytest
 
+from integral_census import codes
 from integral_census.codes import (
     best_code_bound,
     cap_bound,
@@ -103,3 +105,18 @@ def test_best_code_bound_picks_min():
     assert b20.method == "cap"
     with pytest.raises(ValueError):
         best_code_bound(1, PI3)
+
+
+@pytest.mark.parametrize("theta", [PI3, math.acos(0.6)])
+def test_memoized_best_code_bound_matches_fresh_solve(theta):
+    for r in (2, 3, 9, 16, 20):
+        memo = best_code_bound(r, theta)
+        assert best_code_bound(r, theta) is memo
+        assert memo == codes._best_code_bound(r, theta)
+
+
+def test_code_bound_result_is_frozen():
+    res = best_code_bound(4, PI3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.bound = 0.0
+    assert best_code_bound(4, PI3).bound == res.bound > 0

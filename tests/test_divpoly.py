@@ -111,6 +111,10 @@ def test_coeff_growth_envelope():
     assert not bad["all_within"]
     with pytest.raises(ValueError):
         verify_coeff_growth(8, 0.5, 1.0, 2.0)
+    # below n = 2 there is nothing to check, which must not read as a pass
+    for n_max in (1, 0):
+        with pytest.raises(ValueError):
+            verify_coeff_growth(n_max, 1e10, 1.0, 1e6)
 
 
 def test_triple_root_identity():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from integral_census import codes, optimizer
 from integral_census.optimizer import (
     REFERENCE_PARAMS,
     REPORTED_COMPARISON_BOUND,
@@ -74,6 +75,39 @@ def test_moments_aggregate_frozen():
     assert report.aggregate == pytest.approx(95.91844324770639, rel=1e-6)
     assert report.tail_bound > 0
     assert report.comparison == REPORTED_COMPARISON_BOUND
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_aggregate_checks_constraints_once(monkeypatch):
+    calls = _counting(monkeypatch, optimizer, "check_constraints")
+    report = aggregate_bound(RankModel.moments())
+    assert len(calls) == 1
+    assert report.aggregate == pytest.approx(95.91844324770639, rel=1e-6)
+
+
+def test_aggregate_reuses_code_bounds_across_d(monkeypatch):
+    model = RankModel.moments()
+    first = aggregate_bound(model, OptimizerParams(c=0.998114, D=612.117, s=3, J_default=1.25))
+    solves = _counting(monkeypatch, codes, "lp_bound")
+    second = aggregate_bound(model, OptimizerParams(c=0.998114, D=1200.0, s=3, J_default=1.25))
+    assert solves == []
+    assert second.per_rank != first.per_rank
+
+
+def test_aggregate_rejects_infeasible_parameters():
+    with pytest.raises(ValueError, match="feasibility constraints"):
+        aggregate_bound(RankModel.moments(), OptimizerParams(c=0.998114, D=5.0, s=3))
 
 
 def test_moments_infeasible_floors_raise():
