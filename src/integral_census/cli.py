@@ -62,6 +62,14 @@ def _x_bound(args) -> int:
     return x_bound
 
 
+def _T(args) -> float:
+    if args.T is None:
+        raise ValueError("--T required")
+    if not (math.isfinite(args.T) and args.T >= 1):
+        raise ValueError("--T must be finite and >= 1")
+    return args.T
+
+
 def _fraction(value, what: str) -> Fraction:
     """Fraction(value) for a number or a string such as '8/9'; anything
     else, a zero denominator or a non-finite float is a ValueError."""
@@ -189,15 +197,14 @@ def _cmd_census(args) -> dict:
         }
     else:
         fam = _family(args)
-        if args.T is None:
-            raise ValueError("--T required")
+        T = _T(args)
         config = {
             "subcommand": "census",
             "family": fam.value,
-            "T": args.T,
+            "T": T,
             "x_bound": x_bound,
         }
-        summary = points.census(fam, args.T, x_bound)
+        summary = points.census(fam, T, x_bound)
         results = {
             "curve_count": summary.curve_count,
             "total_points": summary.total_points,
@@ -227,15 +234,14 @@ def _cmd_census(args) -> dict:
 
 def _cmd_small_points(args) -> dict:
     fam = _family(args)
-    if args.T is None:
-        raise ValueError("--T required")
+    T = _T(args)
     config = {
         "subcommand": "small-points",
         "family": fam.value,
-        "T": args.T,
+        "T": T,
         "exponent": args.exponent,
     }
-    results = points.small_point_statistics(fam, args.T, args.exponent)
+    results = points.small_point_statistics(fam, T, args.exponent)
     return _finalize(config, results)
 
 
@@ -264,17 +270,16 @@ def _cmd_heights(args) -> dict:
 
 def _cmd_gap_survey(args) -> dict:
     fam = _family(args)
-    if args.T is None:
-        raise ValueError("--T required")
+    T = _T(args)
     x_bound = _x_bound(args)
     if args.min_height == "auto":
-        min_height = (5 - args.delta) * math.log(args.T)
+        min_height = (5 - args.delta) * math.log(T)
     else:
         min_height = float(args.min_height)
     config = {
         "subcommand": "gap-survey",
         "family": fam.value,
-        "T": args.T,
+        "T": T,
         "x_bound": x_bound,
         "delta": args.delta,
         "min_height": min_height,
@@ -282,7 +287,7 @@ def _cmd_gap_survey(args) -> dict:
     }
     results = repulsion.repulsion_survey(
         fam,
-        args.T,
+        T,
         x_bound,
         min_height=min_height,
         precision_goal=args.precision,
@@ -349,7 +354,7 @@ def _cmd_code_bound(args) -> dict:
         "method": res.method,
         "bound": res.bound,
         "certified": res.certified,
-        "detail": res.detail,
+        "detail": None if res.detail is None else dict(res.detail),
     }
     return _finalize(config, results)
 

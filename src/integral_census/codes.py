@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import mpmath as mp
 import numpy as np
@@ -36,7 +38,12 @@ class CodeBoundResult:
     method: str
     bound: float
     certified: bool = True
-    detail: dict | None = None
+    detail: Mapping | None = None
+
+    def __post_init__(self):
+        # memoized results are shared by every caller: keep detail read-only
+        if self.detail is not None:
+            object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
 
 
 def cap_bound(r: int, theta: float, projective: bool = False) -> float:

@@ -6,6 +6,7 @@ coefficients, ordered by the naive height max(4|a|^3, 27 b^2)^(1/6).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -106,10 +107,15 @@ def squarefull_part(n: int) -> int:
 
 
 def _quasiminimal(a: int, b: int) -> bool:
-    # p^4 | a must not come with p^6 | b
+    # p^4 | a must not come with p^6 | b.  For a != 0 both force p^4 | g =
+    # gcd(a, b), and v_p(g) >= 4 iff v_p(a) >= 4 and v_p(b) >= 4, so only g
+    # needs factoring; g < 16 = 2^4 has no fourth-power divisor at all.
     if a == 0:
         return not _has_sixth_power(b)
-    for p, e in sympy.factorint(abs(a)).items():
+    g = math.gcd(a, b)
+    if g < 16:
+        return True
+    for p, e in sympy.factorint(g).items():
         if e >= 4 and b % p**6 == 0:
             return False
     return True
@@ -207,6 +213,31 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+@functools.lru_cache(maxsize=128)
+def _cutoffs(T: float, delta: float) -> tuple[int, ...]:
+    """The T-only filter thresholds of filter_diagnostics as exact integers.
+
+    mpmath compares an int with an mpf exactly, so for every integer n,
+    n >= t iff n >= ceil(t) and n <= t iff n <= floor(t): the integer
+    cutoffs give the same verdicts as the 30-digit powers themselves.
+    """
+    with mp.workdps(30):
+        Tm = mp.mpf(T)
+        return (
+            int(mp.ceil(Tm ** (2 - delta))),
+            int(mp.ceil(Tm ** (3 - delta))),
+            int(mp.floor(Tm**delta)),
+            int(mp.ceil(Tm ** (6 - 2 * delta))),
+            int(mp.floor(Tm ** (4 * delta))),
+            # no integral point of height <= (5 - delta) log T, i.e. |x| <= T^(5-delta)
+            int(mp.floor(Tm ** (5 - delta))),
+            # no rational point of height <= (1/2 - delta) log T: numerators
+            # |x| <= T^(1/2 - delta), denominators d <= T^(1/4 - delta/2)
+            int(mp.floor(Tm ** (mp.mpf(1) / 2 - delta))),
+            int(mp.floor(Tm ** (mp.mpf(1) / 4 - delta / 2))),
+        )
+
+
 def filter_diagnostics(
     curve: CurveModel,
     T: float,
@@ -216,6 +247,9 @@ def filter_diagnostics(
 ) -> FilterDiagnostics:
     """Evaluate the size/shape flags and the small-point flags.
 
+    The thresholds T^(2-delta), T^(3-delta), ... are exact integer cutoffs,
+    computed once per (T, delta) and compared with the curve's integers.
+
     With lazy=True the expensive checks (factorization, point searches) are
     skipped as soon as a cheap size flag has already failed; the skipped
     flags are reported False, which is sound for passes_size/passes_all
@@ -223,37 +257,30 @@ def filter_diagnostics(
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError("T must be finite and >= 1")
+    a_min, b_min, gcd_max, disc_min, sf_max, x_cut, num_cut, den_cut = _cutoffs(T, delta)
     a, b = curve.a, curve.b
     disc = curve.disc()
-    with mp.workdps(30):
-        Tm = mp.mpf(T)
-        a_big = abs(a) >= Tm ** (2 - delta)
-        b_big = abs(b) >= Tm ** (3 - delta) and not _is_square(b)
-        gcd_small = math.gcd(a, b) <= Tm**delta
-        disc_big = abs(disc) >= Tm ** (6 - 2 * delta)
-        if lazy and not (a_big and b_big and gcd_small and disc_big):
-            return FilterDiagnostics(
-                (a_big, b_big, gcd_small, disc_big, False),
-                False,
-                False,
-                delta,
-                float(T),
-            )
-        sf_small = squarefull_part(disc) <= Tm ** (4 * delta)
+    a_big = abs(a) >= a_min
+    b_big = abs(b) >= b_min and not _is_square(b)
+    gcd_small = math.gcd(a, b) <= gcd_max
+    disc_big = abs(disc) >= disc_min
+    if lazy and not (a_big and b_big and gcd_small and disc_big):
+        return FilterDiagnostics(
+            (a_big, b_big, gcd_small, disc_big, False),
+            False,
+            False,
+            delta,
+            float(T),
+        )
+    sf_small = squarefull_part(disc) <= sf_max
+    if x_bound_cap is not None:
+        x_cut = min(x_cut, x_bound_cap)
+    from . import points  # local import: avoid a cycle at module load
 
-        # no integral point of height <= (5 - delta) log T, i.e. |x| <= T^(5-delta)
-        x_cut = int(mp.floor(Tm ** (5 - delta)))
-        if x_bound_cap is not None:
-            x_cut = min(x_cut, x_bound_cap)
-        from . import points  # local import: avoid a cycle at module load
-
-        small_int = len(points.integral_points(curve, x_cut)) == 0
-
-        # no rational point of height <= (1/2 - delta) log T: numerators
-        # |x| <= T^(1/2 - delta), denominators d <= T^(1/4 - delta/2)
-        num_cut = int(mp.floor(Tm ** (mp.mpf(1) / 2 - delta)))
-        den_cut = int(mp.floor(Tm ** (mp.mpf(1) / 4 - delta / 2)))
-        small_rat = not _has_small_rational_point(curve, num_cut, den_cut)
+    small_int = len(points.integral_points(curve, x_cut)) == 0
+    small_rat = not _has_small_rational_point(curve, num_cut, den_cut)
     return FilterDiagnostics(
         (a_big, b_big, gcd_small, disc_big, sf_small),
         small_int,

@@ -8,8 +8,8 @@ module, then aggregate over a rank distribution: either an explicit
 distribution or a worst-case linear program constrained by moment caps
 and proportion floors, with a geometric tail envelope above r_max.
 
-``aggregate_bound`` checks the constraints once per parameter vector, not
-once per rank, and the code bounds are memoized by (r, theta) in
+``aggregate_bound`` and ``optimize`` check the constraints once per
+parameter vector, not once per rank, and the code bounds are memoized by (r, theta) in
 ``codes.best_code_bound``, so parameter vectors that share a J share
 their LP solves.
 """
@@ -163,12 +163,13 @@ def check_constraints(params: OptimizerParams) -> dict:
         }
 
 
-def _feasible_constraints(params: OptimizerParams) -> dict:
-    """check_constraints, raising ValueError unless both inequalities hold."""
+_INFEASIBLE = "parameters fail the feasibility constraints"
+
+
+def _feasible_constraints(params: OptimizerParams) -> dict | None:
+    """check_constraints if both inequalities hold, else None."""
     verdict = check_constraints(params)
-    if not (verdict["iv_empty"] and verdict["roth_count"]):
-        raise ValueError("parameters fail the feasibility constraints")
-    return verdict
+    return verdict if verdict["iv_empty"] and verdict["roth_count"] else None
 
 
 def per_rank_bound(r: int, params: OptimizerParams, code_fn=best_code_bound) -> float:
@@ -177,7 +178,8 @@ def per_rank_bound(r: int, params: OptimizerParams, code_fn=best_code_bound) -> 
         raise ValueError("rank must be nonnegative")
     if r < 2:
         return _rank_bound(r, params, None, code_fn)
-    _feasible_constraints(params)
+    if _feasible_constraints(params) is None:
+        raise ValueError(_INFEASIBLE)
     return _rank_bound(r, params, float(d_tilde(params.D)), code_fn)
 
 
@@ -219,7 +221,21 @@ def aggregate_bound(
 
     Raises ValueError if the parameters fail the feasibility constraints.
     """
+    report = _feasible_aggregate(model, params, r_max)
+    if report is None:
+        raise ValueError(_INFEASIBLE)
+    return report
+
+
+def _feasible_aggregate(
+    model: RankModel, params: OptimizerParams, r_max: int
+) -> BoundReport | None:
+    """aggregate_bound, or None if the parameters fail the feasibility
+    constraints; checks them once.  An infeasible floor/cap combination
+    still raises ValueError."""
     constraints = _feasible_constraints(params)
+    if constraints is None:
+        return None
     dt = float(d_tilde(params.D))
     per_rank = {r: _rank_bound(r, params, dt) for r in range(0, r_max + 1)}
     tail = _tail_bound(params, dt, model, min(r_max, 20))
@@ -314,10 +330,9 @@ def optimize(
     best_key = None
     evaluated = []
     for params in candidates:
-        verdict = check_constraints(params)
-        if not (verdict["iv_empty"] and verdict["roth_count"]):
+        report = _feasible_aggregate(model, params, r_max)
+        if report is None:
             continue
-        report = aggregate_bound(model, params, r_max=r_max)
         evaluated.append(report.aggregate)
         key = (report.aggregate, params.c, params.D, params.s, params.J_default)
         if best_key is None or key < best_key:
@@ -345,11 +360,8 @@ def _refine(model: RankModel, report: BoundReport, r_max: int, iters: int) -> Bo
                 setattr(trial, attr, getattr(p, attr) + sign * step)
                 if not (0 < trial.c < 1 and trial.D > 1 and 1 < trial.J_default < 2):
                     continue
-                verdict = check_constraints(trial)
-                if not (verdict["iv_empty"] and verdict["roth_count"]):
-                    continue
-                cand = aggregate_bound(model, trial, r_max=r_max)
-                if cand.aggregate < best.aggregate - 1e-12:
+                cand = _feasible_aggregate(model, trial, r_max)
+                if cand is not None and cand.aggregate < best.aggregate - 1e-12:
                     best = cand
                     improved = True
         if not improved:

@@ -84,6 +84,22 @@ def test_zero_x_bound_exits_1(argv, capsys):
     assert "--x-bound must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("T", [None, "inf", "nan", "-inf", "0.5", "-2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--family", "universal", "--x-bound", "10"],
+        ["small-points", "--family", "universal"],
+        ["gap-survey", "--family", "universal", "--x-bound", "10", "--restrict-filtered"],
+    ],
+)
+def test_bad_T_exits_1(argv, T, capsys):
+    status, doc = run(argv + ([] if T is None else [f"--T={T}"]))
+    assert status == 1 and doc is None
+    err = capsys.readouterr().err
+    assert "--T required" in err if T is None else "--T must be finite and >= 1" in err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     status, doc = run(["optimize", "--config", str(tmp_path / "absent.cfg")])
     assert status == 1 and doc is None

@@ -120,3 +120,11 @@ def test_code_bound_result_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.bound = 0.0
     assert best_code_bound(4, PI3).bound == res.bound > 0
+
+
+def test_memoized_code_bound_detail_is_read_only():
+    res = best_code_bound(4, PI3)
+    assert res.method == "lp" and res.detail["degree"] == 20
+    with pytest.raises(TypeError):
+        res.detail["degree"] = 0
+    assert best_code_bound(4, PI3).detail["degree"] == 20

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from integral_census import families
 from integral_census.families import (
     CurveModel,
     Family,
@@ -118,3 +120,98 @@ def test_filter_lazy_agrees_on_pass_verdict():
         # lazy only short-circuits when a cheap flag already failed, so the
         # overall verdict is identical
         assert full.passes_all == lazy.passes_all
+
+
+@pytest.mark.parametrize("T", [-2.0, 0.5, math.inf, -math.inf, math.nan])
+def test_filter_diagnostics_rejects_bad_T(T):
+    with pytest.raises(ValueError, match="T must be finite"):
+        filter_diagnostics(CurveModel(1, 2), T, 0.1)
+
+
+def _mp_thresholds(T, delta):
+    # the 30-digit powers the filter compared against before the integer
+    # cutoffs, each with its comparison direction
+    with mp.workdps(30):
+        Tm = mp.mpf(T)
+        return [
+            (Tm ** (2 - delta), ">="),
+            (Tm ** (3 - delta), ">="),
+            (Tm**delta, "<="),
+            (Tm ** (6 - 2 * delta), ">="),
+            (Tm ** (4 * delta), "<="),
+            (Tm ** (5 - delta), "floor"),
+            (Tm ** (mp.mpf(1) / 2 - delta), "floor"),
+            (Tm ** (mp.mpf(1) / 4 - delta / 2), "floor"),
+        ]
+
+
+@pytest.mark.parametrize(
+    "T, delta",
+    [(8, 0.1), (20, 0.1), (12, 0.1), (4, 0.5), (16, 0.5), (16, 0.25), (1, 0.3), (1000, 0.9)],
+)
+def test_integer_cutoffs_match_mpmath_comparisons(T, delta):
+    cuts = families._cutoffs(T, delta)
+    thresholds = _mp_thresholds(T, delta)
+    assert len(cuts) == len(thresholds)
+    for cut, (t, op) in zip(cuts, thresholds):
+        with mp.workdps(30):
+            if op == "floor":
+                assert cut == int(mp.floor(t))
+                continue
+            for n in (cut - 1, cut, cut + 1):
+                if op == ">=":
+                    assert (n >= cut) == bool(n >= t)
+                else:
+                    assert (n <= cut) == bool(n <= t)
+
+
+def test_exact_power_cutoffs_keep_the_boundary():
+    # 16^0.5 = 4 and 4^(2 - 0.5) = 8 exactly: the cutoff is the power itself
+    a_min, _, gcd_max, *_ = families._cutoffs(16, 0.5)
+    assert gcd_max == 4 and a_min == 16 ** 1.5 == 64
+    assert families._cutoffs(4, 0.5)[0] == 8
+    d = filter_diagnostics(CurveModel(64, 4), 16, 0.5, lazy=True)
+    assert d.condition_flags[0]
+    d = filter_diagnostics(CurveModel(63, 4), 16, 0.5, lazy=True)
+    assert not d.condition_flags[0]
+
+
+def test_cutoffs_evaluated_once_per_T_delta():
+    families._cutoffs.cache_clear()
+    curves = list(enumerate_family(Family.UNIVERSAL, 3))
+    verdicts = [filter_diagnostics(c, 3, 0.1, lazy=True).passes_all for c in curves]
+    assert len(verdicts) == len(curves) > 100
+    info = families._cutoffs.cache_info()
+    assert info.misses == 1
+    assert info.hits == len(curves) - 1
+    filter_diagnostics(curves[0], 3, 0.2, lazy=True)
+    assert families._cutoffs.cache_info().misses == 2
+
+
+def _quasiminimal_reference(a, b):
+    # the definition: no prime with p^4 | a and p^6 | b
+    if a == 0:
+        return b != 0 and all(e < 6 for e in sympy.factorint(abs(b)).values())
+    return not any(
+        e >= 4 and b % p**6 == 0 for p, e in sympy.factorint(abs(a)).items()
+    )
+
+
+def test_quasiminimal_matches_factoring_a():
+    values = list(range(-40, 41))
+    for p in (2, 3, 5):
+        for e in range(3, 8):
+            values += [p**e, -(p**e), 7 * p**e]
+    for a in values:
+        for b in values:
+            assert families._quasiminimal(a, b) == _quasiminimal_reference(a, b), (a, b)
+    # p^4 || a with p^6 | b is excluded; p^4 | a with p^5 || b is kept
+    assert not families._quasiminimal(3 * 16, 64)
+    assert not families._quasiminimal(-(3**4) * 5, 3**6 * 2)
+    assert families._quasiminimal(2**6 * 3, 2**5 * 7)
+    assert families._quasiminimal(5**4, 5**5)
+    # b = 0 leaves g = |a|; a = 0 asks for a sixth power in b
+    assert not families._quasiminimal(2**4, 0)
+    assert families._quasiminimal(2**3 * 3**3, 0)
+    assert not families._quasiminimal(0, 2**6 * 5)
+    assert families._quasiminimal(0, 2**5 * 3**5)

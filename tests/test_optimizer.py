@@ -127,6 +127,15 @@ def test_optimize_dominates_reference():
     assert verdict["iv_empty"] and verdict["roth_count"]
 
 
+def test_optimize_checks_each_vector_once(monkeypatch):
+    # keep every checked vector alive so that ids cannot be reused
+    checked = _counting(monkeypatch, optimizer, "check_constraints")
+    best = optimize(RankModel.moments())
+    assert best.aggregate == 68.51622423555939
+    assert len(checked) > 54  # the 54-point default grid, then refinement
+    assert len({id(args[0]) for args in checked}) == len(checked)
+
+
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
         optimize(RankModel.moments(), {"c": [0.5], "D": [2.0], "s": [3], "J": [1.2]})
