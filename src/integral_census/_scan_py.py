@@ -1,8 +1,7 @@
 """Naive integral-point x-scan: one exact big-int test per x-value.
 
-The reference oracle for the sieve in ``_scan``: the tests, the benchmark
-checks and ``benchmarks/bench_scan.py`` compare the two.  The package itself
-does not import it.
+The reference oracle for the sieve in ``_scan``: the tests and the benchmark
+checks compare the two.  The package itself does not import it.
 """
 
 import math

@@ -272,6 +272,8 @@ def _cmd_gap_survey(args) -> dict:
     fam = _family(args)
     T = _T(args)
     x_bound = _x_bound(args)
+    if not 0 < args.delta < 1:
+        raise ValueError("--delta must lie in (0, 1)")
     if args.min_height == "auto":
         min_height = (5 - args.delta) * math.log(T)
     else:
@@ -312,10 +314,12 @@ def _cmd_divpoly_verify(args) -> dict:
     leading = True
     for n in range(1, min(args.n_max, 32) + 1):
         poly = divpoly.psi(n, n_max=max(args.n_max, 64))
-        w = Fraction(n * n - 1, 2)
-        for (fx, fa, fb) in poly.terms:
-            if fx + 2 * fa + 3 * fb + Fraction(3, 2) * poly.y_factor != w:
-                homogeneous = False
+        # psi_n has weight (n^2 - 1) / 2 with y of weight 3/2, and every
+        # term's implied x-exponent xpart_weight - 2 f_A - 3 f_B is >= 0
+        if 2 * poly.xpart_weight + 3 * poly.y_factor != n * n - 1 or any(
+            2 * fa + 3 * fb > poly.xpart_weight for fa, fb in poly.xterms
+        ):
+            homogeneous = False
         if poly.x_leading_coeff() != n:
             leading = False
         if n >= 2 and poly.x_coeff(poly.x_degree() - 1):

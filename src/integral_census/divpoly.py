@@ -77,12 +77,45 @@ class DivPoly:
 
 
 def _wmul(w1: int, t1: dict, w2: int, t2: dict) -> tuple[int, dict]:
-    out: dict = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
-            k = (a1 + a2, b1 + b2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return w1 + w2, {k: c for k, c in out.items() if c}
+    """Product by Kronecker substitution: (f_A, f_B) goes to the slot
+    f_A * stride + f_B of one big int, the two ints are multiplied once,
+    and the product's slots are read back as the product's coefficients.
+
+    A slot is wide enough for any product coefficient plus a sign bit.
+    Adding a bias of half a slot to every slot, empty ones included, makes
+    every slot non-negative, so it unpacks without borrows.  The unpack goes
+    through bytes: peeling slots off with shifts would be quadratic.
+    """
+    if not t1 or not t2:
+        return w1 + w2, {}
+    stride = max(fb for _, fb in t1) + max(fb for _, fb in t2) + 1
+    bound = max(map(abs, t1.values())) * max(map(abs, t2.values())) * min(len(t1), len(t2))
+    width = (bound.bit_length() + 8) // 8  # bytes for |c| <= bound and a sign bit
+    prod = _pack(t1, stride, width)
+    prod *= prod if t2 is t1 else _pack(t2, stride, width)
+    slots = (max(fa for fa, _ in t1) + max(fa for fa, _ in t2) + 1) * stride
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    buf = (prod + bias).to_bytes(slots * width, "little")
+    out = {}
+    for k in range(slots):
+        c = int.from_bytes(buf[k * width : (k + 1) * width], "little") - half
+        if c:
+            out[divmod(k, stride)] = c
+    return w1 + w2, out
+
+
+def _pack(terms: dict, stride: int, width: int) -> int:
+    """sum c * 256^(width * (f_A * stride + f_B)), built through bytes."""
+    size = (max(fa * stride + fb for fa, fb in terms) + 1) * width
+    pos, neg = bytearray(size), bytearray(size)
+    for (fa, fb), c in terms.items():
+        i = (fa * stride + fb) * width
+        if c > 0:
+            pos[i : i + width] = c.to_bytes(width, "little")
+        else:
+            neg[i : i + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _wsub(w1: int, t1: dict, w2: int, t2: dict) -> tuple[int, dict]:

@@ -175,8 +175,8 @@ def _coeff_bounds(T: float) -> tuple[int, int]:
 
 def enumerate_family(family: Family, T: float) -> Iterator[CurveModel]:
     """Family members of naive height <= T, lexicographic on (a, b)."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"T must be finite and >= 1, got {T!r}")
     a_max, b_max = _coeff_bounds(T)
     if family is Family.UNIVERSAL:
         for a in range(-a_max, a_max + 1):

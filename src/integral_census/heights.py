@@ -5,13 +5,20 @@ h(x(2^n P)) / 4^n, so h_hat(2P) = 4 h_hat(P) and h_hat is about h(x(P))
 for large points (twice the other common textbook normalization).
 
 The archimedean local height comes from a telescoping series derived from
-the duplication relation lambda(2P) = 4 lambda(P) - 2 log|2y(P)|.  The
-non-archimedean local heights are computed exactly: double the point in
-capped-precision p-adic arithmetic, record the valuations c_j = v_p(2 y_j),
-detect the eventually affine-periodic pattern, and sum the telescoping
-series in closed form.  No reduction-type case table is needed, and no
-minimality assumption is made on the model; the bounded solution of the
-local duplication identity is unique, which is what the series computes.
+the duplication relation lambda(2P) = 4 lambda(P) - 2 log|2y(P)|.
+
+Each non-archimedean local height is q log p with q an exact rational.
+Where v_p(Delta) < 12 the model is minimal at p, and q comes in closed
+form from v_p(x), v_p(3x^2 + a), v_p(2y), v_p(c4), v_p(Delta) and
+v_p(psi_3) (Silverman, "Computing heights on elliptic curves", Math. Comp.
+51, 1988, Thm 5.2; Cohen, GTM 138, Alg. 7.5.7).  Where v_p(Delta) >= 12
+the model may not be minimal at p, and the formula may be wrong there, so
+q is computed by the ladder instead: double the point in capped-precision
+p-adic arithmetic, record the valuations c_j = v_p(2 y_j), detect the
+eventually affine-periodic pattern, and sum the telescoping series in
+closed form.  The ladder assumes no minimality: the bounded solution of
+the local duplication identity is unique, which is what the series
+computes.  It is also the oracle the tests hold the formula to.
 """
 
 from __future__ import annotations
@@ -274,11 +281,46 @@ def _lambda_p_exact(curve: CurveModel, p: int, pt: CurvePoint) -> Fraction:
     raise PrecisionError(f"local height at p = {p} did not stabilize")
 
 
+def _v(q: Fraction, p: int) -> float:
+    """v_p of a rational; +inf at zero."""
+    if q == 0:
+        return math.inf
+    return _vp(q.numerator, p) - _vp(q.denominator, p)
+
+
+def _lambda_p_formula(curve: CurveModel, p: int, pt: CurvePoint) -> Fraction | None:
+    """The coefficient q of _lambda_p_exact in closed form, or None where
+    v_p(Delta) >= 12 and the model may not be minimal at p.
+
+    Silverman's z (normalized as half of this module's heights) is q / 2.
+    """
+    a, b = curve.a, curve.b
+    N = _vp(curve.disc(), p)
+    if N >= 12:
+        return None
+    x, y = pt.x, pt.y
+    B = _v(2 * y, p)
+    if B <= 0 or _v(3 * x * x + a, p) <= 0:
+        # P reduces to a nonsingular point
+        return Fraction(max(0, -_v(x, p)))
+    if a != 0 and (48 * a) % p:
+        # v_p(c4) = 0 with c4 = -48a: multiplicative reduction
+        M = min(Fraction(B), Fraction(N, 2))
+        return -M * (N - M) / N
+    C = _v(3 * x**4 + 6 * a * x**2 + 12 * b * x - a * a, p)
+    return Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
+
+
 # ---------------------------------------------------------------------------
 # canonical height and derived quantities
 
 
 def _torsion_order(curve: CurveModel, p: CurvePoint) -> int | None:
+    # Nagell-Lutz: a torsion point has x in Z, and y = 0 or y^2 | 4a^3 + 27b^2
+    if p.x.denominator != 1 or (
+        p.y and (4 * curve.a**3 + 27 * curve.b**2) % p.y.numerator**2
+    ):
+        return None
     q = p
     for n in range(1, 13):
         if q.is_identity:
@@ -317,7 +359,9 @@ def canonical_height(
         primes.update(sympy.factorint(abs(curve.disc())).keys())
         primes.update(sympy.factorint(p.x.denominator).keys())
         for q in sorted(primes):
-            coeff = _lambda_p_exact(curve, q, p)
+            coeff = _lambda_p_formula(curve, q, p)
+            if coeff is None:
+                coeff = _lambda_p_exact(curve, q, p)
             if coeff:
                 val = coeff.numerator * mp.log(q) / coeff.denominator
                 locals_out[str(q)] = float(val)

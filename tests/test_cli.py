@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from integral_census import divpoly
 from integral_census.cli import _canonical_json, build_parser, run
 
 
@@ -215,6 +217,29 @@ def test_divpoly_verify(capsys):
     assert res["coeff_growth"]["all_within"]
 
 
+def _bad_weight(poly):
+    return dataclasses.replace(poly, xpart_weight=poly.xpart_weight + 1)
+
+
+def _negative_x_exponent(poly):
+    # (f_A, f_B) = (w, 0) implies f_x = w - 2w < 0
+    return dataclasses.replace(poly, xterms={**poly.xterms, (poly.xpart_weight, 0): 1})
+
+
+@pytest.mark.parametrize("damage", [_bad_weight, _negative_x_exponent])
+def test_divpoly_verify_homogeneity_can_fail(damage, monkeypatch, capsys):
+    real = divpoly.psi
+
+    def psi(n, n_max=divpoly.DEFAULT_N_MAX):
+        poly = real(n, n_max)
+        return damage(poly) if n == 5 else poly
+
+    monkeypatch.setattr(divpoly, "psi", psi)
+    status, doc, _ = _run(["divpoly-verify", "--n-max", "6"], capsys)
+    assert status == 0
+    assert doc["results"]["homogeneous"] is False
+
+
 @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
 def test_divpoly_verify_empty_range_exits_1(n_max, capsys):
     status, doc = run(["divpoly-verify", "--n-max", n_max])
@@ -230,6 +255,17 @@ def test_gap_survey_json(capsys):
     assert status == 0
     assert doc["results"]["pair_count"] >= 0
     assert doc["config"]["min_height"] == 0.0
+
+
+@pytest.mark.parametrize("restricted", [[], ["--restrict-filtered"]])
+@pytest.mark.parametrize("delta", ["7", "1", "0", "-0.5", "nan"])
+def test_gap_survey_bad_delta_exits_1(delta, restricted, capsys):
+    status, doc = run(
+        ["gap-survey", "--family", "mordell", "--T", "3", "--x-bound", "100",
+         "--delta", delta, "--min-height", "auto"] + restricted
+    )
+    assert status == 1 and doc is None
+    assert "--delta must lie in (0, 1)" in capsys.readouterr().err
 
 
 def test_content_hash_excludes_runtime_fields(capsys):

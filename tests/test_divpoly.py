@@ -16,6 +16,72 @@ from integral_census.families import CurveModel
 from integral_census.points import CurvePoint, Identity, add
 
 
+def _schoolbook(w1, t1, w2, t2):
+    """Reference product: the double loop over monomials."""
+    out = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return w1 + w2, {k: c for k, c in out.items() if c}
+
+
+def _wmul_cases():
+    rng = random.Random(5)
+    edge = [2 ** (8 * k) - 1 for k in (1, 2, 3)]
+    yield {}, {(0, 0): 3}
+    yield {(1, 2): -7}, {}
+    yield {(0, 0): 1}, {(0, 0): -1}
+    yield {(2, 1): -5}, {(0, 3): 4}
+    for e in edge:
+        # coefficients filling a slot edge, of both signs, with cancellation
+        yield {(0, 0): e, (1, 0): -e, (0, 1): e}, {(0, 0): -e, (0, 2): e}
+        yield {(0, 0): e + 1, (3, 1): -(e + 1)}, {(1, 1): e, (0, 0): -1}
+        yield {(0, 0): e, (1, 0): e}, {(0, 0): e, (1, 0): -e}  # middle term cancels
+    for k in (1, 2, 3):
+        # a product coefficient at +-(2^(8k-1) - 1) fills a k-byte slot with
+        # its sign bit; one more needs a wider slot
+        for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            yield {(0, 0): c}, {(0, 0): 1}
+            yield {(2, 0): 1}, {(0, 3): -c}
+        # every term meets in slot (1, 1), at exactly the size bound
+        m = 2 ** (4 * k) - 1
+        yield {(1, 0): m, (0, 1): m}, {(0, 1): m, (1, 0): m}
+        yield {(1, 0): -m, (0, 1): -m}, {(0, 1): m, (1, 0): m}
+    for _ in range(40):
+        t = [
+            {
+                (rng.randint(0, 6), rng.randint(0, 5)): rng.choice([-1, 1]) * rng.choice(
+                    [rng.randint(1, 9), rng.choice(edge), rng.randint(1, 10**40)]
+                )
+                for _ in range(rng.randint(1, 12))
+            }
+            for _ in range(2)
+        ]
+        yield t[0], t[1]
+
+
+@pytest.mark.parametrize("t1, t2", list(_wmul_cases()))
+def test_wmul_matches_schoolbook(t1, t2):
+    assert divpoly._wmul(7, t1, 4, t2) == _schoolbook(7, t1, 4, t2)
+    assert divpoly._wmul(7, t1, 7, t1) == _schoolbook(7, t1, 7, t1)
+
+
+def test_psi_matches_schoolbook_product(monkeypatch):
+    monkeypatch.delenv(divpoly.CACHE_ENV, raising=False)
+    saved = dict(divpoly._psi_cache)
+    try:
+        divpoly._psi_cache.clear()
+        fast = {n: psi(n) for n in range(1, 25)}
+        divpoly._psi_cache.clear()
+        monkeypatch.setattr(divpoly, "_wmul", _schoolbook)
+        for n in range(1, 25):
+            assert psi(n) == fast[n], n
+    finally:
+        divpoly._psi_cache.clear()
+        divpoly._psi_cache.update(saved)
+
+
 def test_base_cases_match_closed_forms():
     p3 = psi(3)
     assert p3.terms == {(4, 0, 0): 3, (2, 1, 0): 6, (1, 0, 1): 12, (0, 2, 0): -1}

@@ -100,6 +100,13 @@ def test_enumerate_rejects_bad_T():
         list(enumerate_family(Family.MORDELL, 0.5))
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
+def test_enumerate_rejects_non_finite_T(family, T):
+    with pytest.raises(ValueError, match="T must be finite"):
+        next(enumerate_family(family, T))
+
+
 def test_filter_diagnostics_flags():
     # tiny curve at larger T fails every size flag; cap the point scan so
     # the small-point checks stay cheap

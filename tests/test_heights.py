@@ -5,8 +5,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import sympy
+
+from integral_census import heights
 from integral_census.divpoly import multiply_point
-from integral_census.families import CurveModel
+from integral_census.families import CurveModel, Family, enumerate_family
 from integral_census.heights import (
     canonical_height,
     global_difference_bound,
@@ -15,7 +18,7 @@ from integral_census.heights import (
     real_period,
     weil_height,
 )
-from integral_census.points import CurvePoint, add, negate
+from integral_census.points import CurvePoint, add, integral_points, negate
 
 
 def _random_curve_point(rng):
@@ -61,6 +64,100 @@ def test_torsion_height_is_zero():
     assert prof.is_torsion and prof.canonical == 0.0
     two = canonical_height(curve, CurvePoint.affine(-1, 0), 1e-10)
     assert two.is_torsion and two.canonical == 0.0
+
+
+@pytest.mark.parametrize(
+    "a, b, point, order",
+    [
+        (0, 1, (2, 3), 6),
+        (0, 1, (0, 1), 3),
+        (0, 1, (-1, 0), 2),
+        (0, 1, (0, -1), 3),
+        (-43, 166, (3, 8), 7),
+        # y^2 = 1600 divides 4a^3 + 27b^2 = 716800, and y^3 does not
+        (37, -138, (11, 40), 4),
+    ],
+)
+def test_torsion_points_are_flagged(a, b, point, order):
+    assert heights._torsion_order(CurveModel(a, b), CurvePoint.affine(*point)) == order
+
+
+def _counting_add(monkeypatch):
+    calls = []
+
+    def counted(curve, p, q):
+        calls.append(1)
+        return add(curve, p, q)
+
+    monkeypatch.setattr(heights, "add", counted)
+    return calls
+
+
+def test_torsion_pretest_rejects_without_additions(monkeypatch):
+    curve, p = CurveModel(0, -2), CurvePoint.affine(3, 5)
+    twice = add(curve, p, p)  # x = 129/100
+    calls = _counting_add(monkeypatch)
+    # 5^2 does not divide 4*0 + 27*4 = 108, and 2P has a non-integral x
+    assert heights._torsion_order(curve, p) is None
+    assert heights._torsion_order(curve, twice) is None
+    assert calls == []
+
+
+def test_torsion_pretest_passes_nontorsion_point_to_the_loop(monkeypatch):
+    # y^2 = x^3 - 6x at (3, 3): 3^2 divides 4(-6)^3 = -864, yet the point
+    # has infinite order, so only the 12 additions can tell
+    curve, p = CurveModel(-6, 0), CurvePoint.affine(3, 3)
+    calls = _counting_add(monkeypatch)
+    assert heights._torsion_order(curve, p) is None
+    assert len(calls) == 12
+    assert canonical_height(curve, p).canonical > 0.1
+
+
+def _check_formula_against_ladder(curve, pt, seen_primes):
+    primes = set(sympy.factorint(abs(curve.disc()))) | set(
+        sympy.factorint(pt.x.denominator)
+    )
+    for p in primes:
+        q = heights._lambda_p_formula(curve, p, pt)
+        if q is not None:
+            assert q == heights._lambda_p_exact(curve, p, pt), (curve, pt, p)
+            seen_primes.add(p)
+
+
+def test_local_height_formula_matches_ladder():
+    """Closed-form lambda_p equals the p-adic ladder on the universal family
+    at T <= 3, at integral points and at sums of them, wherever the formula
+    applies (v_p(Delta) < 12)."""
+    seen_primes: set[int] = set()
+    checked = 0
+    for curve in enumerate_family(Family.UNIVERSAL, 3):
+        pts = [CurvePoint.affine(*q) for q in integral_points(curve, 300)]
+        for i, p in enumerate(pts):
+            for q in [p] + [add(curve, p, r) for r in pts[i + 1 : i + 3]]:
+                if not q.is_identity and heights._torsion_order(curve, q) is None:
+                    _check_formula_against_ladder(curve, q, seen_primes)
+                    checked += 1
+    assert checked > 300
+    assert {2, 3} <= seen_primes
+
+
+# (a, b, point): the first two are curves where the formula, if it were
+# applied at the non-minimal prime of the rescaled model (p = 2 and p = 3),
+# would give -11/4 where the ladder gives -8/3
+RESCALED = [(-8, 1, (-2, 3)), (-3, 7, (-1, 3)), (0, -2, (3, 5)), (-7, 10, (1, 2))]
+
+
+@pytest.mark.parametrize("u", [2, 3, 6])
+@pytest.mark.parametrize("a, b, point", RESCALED)
+def test_canonical_height_invariant_under_rescaling(a, b, point, u):
+    curve, p = CurveModel(a, b), CurvePoint.affine(*point)
+    scaled = CurveModel(u**4 * a, u**6 * b)
+    sp = CurvePoint.affine(u * u * point[0], u**3 * point[1])
+    for q in sympy.factorint(u):
+        # v_q(Delta) >= 12 on the rescaled model: the ladder must run
+        assert heights._lambda_p_formula(scaled, q, sp) is None
+    h = canonical_height(curve, p).canonical
+    assert canonical_height(scaled, sp).canonical == pytest.approx(h, abs=1e-9)
 
 
 def test_doubling_negation_parallelogram():
