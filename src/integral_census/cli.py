@@ -257,7 +257,7 @@ def _cmd_heights(args) -> dict:
         "precision": args.precision,
     }
     prof = heights.canonical_height(curve, pt, args.precision)
-    gap = heights.height_gap_report(curve, pt, args.precision)
+    gap = heights._height_gap(curve, pt, prof)
     results = {
         "weil": prof.weil,
         "canonical": prof.canonical,
@@ -313,7 +313,7 @@ def _cmd_divpoly_verify(args) -> dict:
     homogeneous = True
     leading = True
     for n in range(1, min(args.n_max, 32) + 1):
-        poly = divpoly.psi(n, n_max=max(args.n_max, 64))
+        poly = divpoly.psi(n, n_max=max(args.n_max, divpoly.DEFAULT_N_MAX))
         # psi_n has weight (n^2 - 1) / 2 with y of weight 3/2, and every
         # term's implied x-exponent xpart_weight - 2 f_A - 3 f_B is >= 0
         if 2 * poly.xpart_weight + 3 * poly.y_factor != n * n - 1 or any(

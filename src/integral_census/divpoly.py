@@ -33,6 +33,9 @@ __all__ = [
 
 DEFAULT_N_MAX = 64
 CACHE_ENV = "INTEGRAL_CENSUS_CACHE"
+# a cache file holds the pair (_CACHE_FORMAT, DivPoly); change the tag
+# whenever DivPoly's layout changes, and every older file becomes a miss
+_CACHE_FORMAT = "integral-census psi cache v2"
 
 
 @dataclass(frozen=True)
@@ -228,13 +231,17 @@ def _psi(n: int) -> DivPoly:
 
 
 def _load_cached(path: str, n: int) -> DivPoly | None:
-    """The cached psi_n, or None when the file is missing, truncated or
-    holds anything else; the caller then recomputes and rewrites it."""
+    """The cached psi_n, or None when the file is missing, truncated, of
+    another format version or holds anything else; the caller then
+    recomputes and rewrites it."""
     try:
         with open(path, "rb") as fh:
-            poly = pickle.load(fh)
+            entry = pickle.load(fh)
     except Exception:  # damaged bytes can fail in pickle with almost any error
         return None
+    if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] == _CACHE_FORMAT):
+        return None
+    poly = entry[1]
     return poly if isinstance(poly, DivPoly) and poly.n == n else None
 
 
@@ -243,7 +250,7 @@ def _store_cached(path: str, poly: DivPoly) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            pickle.dump(poly, fh)
+            pickle.dump((_CACHE_FORMAT, poly), fh)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

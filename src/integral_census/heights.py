@@ -88,16 +88,18 @@ def _lambda_inf(curve: CurveModel, x0, precision_goal: float, depth: int = 0):
     acc = mp.mpf(0)
     recent = mp.mpf(1)
     for n in range(500):
-        z = 1 - 2 * a * t * t - 8 * b * t**3 + a * a * t**4
+        t3, t4 = t**3, t**4
+        z = 1 - 2 * a * t * t - 8 * b * t3 + a * a * t4
         if z == 0:
             return _lambda_inf_backward(curve, x0, precision_goal, depth)
-        term = mp.log(abs(z)) / mp.mpf(4) ** n
-        acc += term
-        recent = max(abs(mp.log(abs(z))), mp.mpf(1))
+        L = mp.log(abs(z))
+        # ldexp by -2n divides by 4^n exactly, so the bits match L / 4^n
+        acc += mp.ldexp(L, -2 * n)
+        recent = max(abs(L), mp.mpf(1))
         # geometric tail certificate: remaining mass <= recent * 4^-n * 4/3
-        if recent / mp.mpf(4) ** n * mp.mpf(4) / 3 < precision_goal / 8:
+        if mp.ldexp(recent, 2 - 2 * n) / 3 < precision_goal / 8:
             return total + acc / 4
-        w = 4 * t + 4 * a * t**3 + 4 * b * t**4
+        w = 4 * t + 4 * a * t3 + 4 * b * t4
         t = w / z
     raise PrecisionError("archimedean series did not converge in 500 terms")
 
@@ -107,9 +109,9 @@ def _lambda_inf_backward(curve: CurveModel, x0, precision_goal: float, depth: in
     a, b = curve.a, curve.b
     y2 = x0**3 + a * x0 + b
     if y2 == 0:
-        # 2-torsion x-coordinate: 2P is the identity, lambda of which is 0
-        # via the convention that the series contribution vanishes there;
-        # fall back to the direct formula on a tiny x-perturbation.
+        # 2-torsion x-coordinate: 2P is the identity and log|2y| diverges.
+        # canonical_height returns 0 for torsion points before the series
+        # runs, so only a direct caller can get here.
         raise PrecisionError("archimedean height at a branch point")
     x2 = (x0 * x0 - a) ** 2 - 8 * b * x0
     x2 /= 4 * y2
@@ -381,19 +383,38 @@ def height_pairing(
     p: CurvePoint,
     q: CurvePoint,
     precision_goal: float = 1e-10,
+    *,
+    memo: dict | None = None,
 ) -> dict:
     """Bilinear pairing (h_hat(P+Q) - h_hat(P) - h_hat(Q)) / 2 and its angle.
 
-    The three canonical heights are returned as h_p, h_q and h_sum."""
-    hp = canonical_height(curve, p, precision_goal).canonical
-    hq = canonical_height(curve, q, precision_goal).canonical
+    The three canonical heights are returned as h_p, h_q and h_sum.
+
+    ``memo``, if given, maps ``(x, |y|)`` to the canonical height of the
+    points +-(x, y); a height found there is not computed again, and one
+    computed is stored.  h_hat(-P) = h_hat(P), so P and -P share an entry.
+    The entries hold for one curve and one ``precision_goal``: the caller
+    keeps a separate memo for each."""
+    if memo is None:
+        memo = {}
+    hp = _memo_height(curve, p, precision_goal, memo)
+    hq = _memo_height(curve, q, precision_goal, memo)
     s = add(curve, p, q)
-    hs = 0.0 if s.is_identity else canonical_height(curve, s, precision_goal).canonical
+    hs = 0.0 if s.is_identity else _memo_height(curve, s, precision_goal, memo)
     pairing = (hs - hp - hq) / 2
     cos_angle = None
     if hp > 10 * precision_goal and hq > 10 * precision_goal:
         cos_angle = pairing / math.sqrt(hp * hq)
     return {"pairing": pairing, "cos_angle": cos_angle, "h_p": hp, "h_q": hq, "h_sum": hs}
+
+
+def _memo_height(
+    curve: CurveModel, p: CurvePoint, precision_goal: float, memo: dict
+) -> float:
+    key = (p.x, abs(p.y))
+    if key not in memo:
+        memo[key] = canonical_height(curve, p, precision_goal).canonical
+    return memo[key]
 
 
 def height_gap_report(
@@ -402,7 +423,11 @@ def height_gap_report(
     """Difference h_hat - h against its main-term model."""
     if p.is_identity:
         raise ValueError("affine required")
-    prof = canonical_height(curve, p, precision_goal)
+    return _height_gap(curve, p, canonical_height(curve, p, precision_goal))
+
+
+def _height_gap(curve: CurveModel, p: CurvePoint, prof: HeightProfile) -> dict:
+    """height_gap_report from the already computed profile of p."""
     h = prof.weil
     disc = abs(curve.disc())
     x_abs = abs(p.x)

@@ -37,14 +37,18 @@ def gap_excess(
     p: tuple[int, int],
     r: tuple[int, int],
     precision_goal: float = 1e-8,
+    *,
+    memo: dict | None = None,
 ) -> PairStat:
-    """PairStat for one unordered pair of integral points."""
+    """PairStat for one unordered pair of integral points.
+
+    ``memo`` is passed to ``height_pairing``: one per curve and precision."""
     if p == r or (p[0] == r[0] and p[1] == -r[1]):
         raise ValueError("pair must satisfy P != +-R")
     P = CurvePoint.affine(*p)
     R = CurvePoint.affine(*r)
     h_p, h_r = weil_height(P), weil_height(R)
-    pairing = height_pairing(curve, P, R, precision_goal)
+    pairing = height_pairing(curve, P, R, precision_goal, memo=memo)
     hhat_sum = pairing["h_sum"]
     excess = hhat_sum - 2 * max(h_p, h_r) - min(h_p, h_r)
     return PairStat(curve, p, r, h_p, h_r, hhat_sum, excess, pairing["cos_angle"])
@@ -81,9 +85,11 @@ def repulsion_survey(
             for pt in integral_points(curve, x_bound)
             if weil_height(CurvePoint.affine(*pt)) >= min_height
         ]
+        # each point is in several pairs: its height is computed once
+        memo: dict = {}
         # pts is sorted and duplicate-free, so i < j visits each pair once
         stats = [
-            gap_excess(curve, p, r, precision_goal)
+            gap_excess(curve, p, r, precision_goal, memo=memo)
             for i, p in enumerate(pts)
             for r in pts[i + 1 :]
             if not (p[0] == r[0] and p[1] == -r[1])

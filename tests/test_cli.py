@@ -128,6 +128,24 @@ def test_heights_subcommand(capsys):
     )
 
 
+def test_heights_subcommand_computes_one_canonical_height(capsys, monkeypatch):
+    from integral_census import heights
+
+    calls = []
+    original = heights.canonical_height
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(heights, "canonical_height", counting)
+    status, doc, _ = _run(["heights", "--curve", "0,-2", "--point", "3,5"], capsys)
+    assert status == 0 and len(calls) == 1
+    assert doc["content_hash"] == (
+        "d8324f80dc3de1b265b96f3a16a5193ecd12c1c3dec6a7528bc4be691cf4e35a"
+    )
+
+
 def test_heights_off_curve_point_exits_1(capsys):
     status, doc = run(["heights", "--curve", "0,-2", "--point", "3,6"])
     assert status == 1 and doc is None

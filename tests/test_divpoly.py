@@ -234,3 +234,24 @@ def test_psi_bounds():
         psi(100, n_max=64)
     with pytest.raises(ValueError):
         multiply_point(CurveModel(0, 1), CurvePoint.affine(2, 3), 100)
+
+
+def test_psi_cache_rewrites_unversioned_file(tmp_path, monkeypatch):
+    # a bare DivPoly pickle is the format before the cache carried a tag
+    import pickle
+
+    monkeypatch.setenv(divpoly.CACHE_ENV, str(tmp_path))
+    fresh = dict(divpoly._psi_cache)
+    divpoly._psi_cache.clear()
+    try:
+        want = psi(9)
+        blob = (tmp_path / "psi_9.pkl").read_bytes()
+        (tmp_path / "psi_9.pkl").write_bytes(pickle.dumps(want))
+        assert divpoly._load_cached(str(tmp_path / "psi_9.pkl"), 9) is None
+        divpoly._psi_cache.clear()
+        assert psi(9) == want
+        assert (tmp_path / "psi_9.pkl").read_bytes() == blob  # rewritten whole
+        assert not list(tmp_path.glob("*.tmp"))
+    finally:
+        divpoly._psi_cache.clear()
+        divpoly._psi_cache.update(fresh)

@@ -113,6 +113,38 @@ def test_torsion_pretest_passes_nontorsion_point_to_the_loop(monkeypatch):
     assert canonical_height(curve, p).canonical > 0.1
 
 
+# canonical heights as computed before the archimedean series was rewritten
+# with one log and an exact ldexp per term; the last two points have
+# |x| < 0.5 and go through _lambda_inf_backward
+_FROZEN_CANONICAL = [
+    ((0, -2), (3, 5), 1e-8, 1.349576835661059),
+    ((0, -2), (3, 5), 1e-10, 1.349576835679619),
+    ((-2, 5), (1, 2), 1e-8, 0.9906625519770608),
+    ((-2, 5), (1, 2), 1e-10, 0.9906625519854129),
+    ((0, 17), (8, 23), 1e-8, 1.8184674606661957),
+    ((0, 17), (8, 23), 1e-10, 1.818467460736705),
+    ((-3, 4), (0, 2), 1e-8, 0.8999585094543338),
+    ((-3, 4), (0, 2), 1e-10, 0.899958509465108),
+    ((0, 17), ("1/4", "33/8"), 1e-8, 2.2450205026337198),
+    ((0, 17), ("1/4", "33/8"), 1e-10, 2.2450205026377135),
+]
+
+
+@pytest.mark.parametrize("ab, xy, goal, want", _FROZEN_CANONICAL)
+def test_canonical_height_frozen_values(ab, xy, goal, want, monkeypatch):
+    backward = []
+    original = heights._lambda_inf_backward
+
+    def counting(*args):
+        backward.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(heights, "_lambda_inf_backward", counting)
+    pt = CurvePoint(Fraction(xy[0]), Fraction(xy[1]))
+    assert canonical_height(CurveModel(*ab), pt, goal).canonical == want
+    assert bool(backward) == (abs(pt.x) < Fraction(1, 2))
+
+
 def _check_formula_against_ladder(curve, pt, seen_primes):
     primes = set(sympy.factorint(abs(curve.disc()))) | set(
         sympy.factorint(pt.x.denominator)

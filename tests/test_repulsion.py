@@ -29,8 +29,7 @@ def test_gap_excess_known_pair():
     )
 
 
-def test_gap_excess_computes_three_canonical_heights(monkeypatch):
-    # h_hat(P), h_hat(R) and h_hat(P+R), each once
+def _count_canonical_heights(monkeypatch) -> list:
     import sys
 
     from integral_census import heights
@@ -46,6 +45,12 @@ def test_gap_excess_computes_three_canonical_heights(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("integral_census") and vars(mod).get("canonical_height") is original:
             monkeypatch.setattr(mod, "canonical_height", counting)
+    return calls
+
+
+def test_gap_excess_computes_three_canonical_heights(monkeypatch):
+    # h_hat(P), h_hat(R) and h_hat(P+R), each once
+    calls = _count_canonical_heights(monkeypatch)
     stat = gap_excess(CurveModel(-2, 5), (1, 2), (2, 3))
     assert stat.cos_angle is not None  # a non-torsion pair
     assert len(calls) == 3 and len(set(calls)) == 3
@@ -80,3 +85,52 @@ def test_survey_restricted_empty_is_well_formed():
     assert res["pair_count"] == 0
     assert res["max_excess"] is None
     assert res["worst_pairs"] == []
+
+
+_UNIVERSAL_SURVEY = dict(family=Family.UNIVERSAL, T=2.5, x_bound=1000, min_height=0.5)
+
+
+def test_survey_computes_each_canonical_height_once(monkeypatch):
+    # 32 pairs need 96 heights, of only 25 distinct (curve, x, |y|)
+    calls = _count_canonical_heights(monkeypatch)
+    res = repulsion_survey(**_UNIVERSAL_SURVEY)
+    assert res["pair_count"] == 32
+    assert len(calls) == 25
+
+
+def test_memo_does_not_skip_the_curve_check():
+    # (3, 5) is on y^2 = x^3 - 2; (3, 6) shares its x but not its |y|
+    from fractions import Fraction
+
+    from integral_census.heights import height_pairing
+    from integral_census.points import CurvePoint
+
+    curve = CurveModel(0, -2)
+    memo: dict = {}
+    height_pairing(curve, CurvePoint.affine(3, 5), CurvePoint.affine(3, -5), memo=memo)
+    assert (Fraction(3), Fraction(5)) in memo
+    with pytest.raises(ValueError):
+        height_pairing(curve, CurvePoint.affine(3, 6), CurvePoint.affine(3, 5), memo=memo)
+
+
+@pytest.mark.parametrize(
+    "survey",
+    [dict(family=Family.MORDELL, T=4, x_bound=500), _UNIVERSAL_SURVEY],
+    ids=["mordell", "universal"],
+)
+def test_memo_does_not_change_pair_stats(survey, monkeypatch):
+    from integral_census import repulsion
+
+    seen = []
+    original = repulsion.gap_excess
+
+    def recording(*args, **kwargs):
+        assert kwargs["memo"] is not None
+        seen.append((args, original(*args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(repulsion, "gap_excess", recording)
+    res = repulsion_survey(**survey)
+    assert len(seen) == res["pair_count"] > 0
+    for args, stat in seen:
+        assert stat == original(*args)  # every field, exactly
