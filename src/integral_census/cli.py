@@ -4,6 +4,10 @@ Every run emits a JSON document containing the validated config and a
 content hash of (config, results).  Every run is serial; the output path
 and the accepted-but-ignored ``--threads`` flag are excluded from the
 document, so identical computations produce byte-identical JSON.
+
+Each subcommand declares only the options it reads, plus ``--out`` and
+``--threads``: any other option exits 1, and so does a ``--config`` key or
+a code-bound ``--degree``/``--grid-size`` that the chosen mode would not read.
 """
 
 from __future__ import annotations
@@ -20,18 +24,6 @@ from fractions import Fraction
 from . import codes, divpoly, heights, optimizer, points, repulsion
 from .families import CurveModel, Family, naive_height
 from .points import CurvePoint
-
-SUBCOMMANDS = [
-    "census",
-    "small-points",
-    "heights",
-    "gap-survey",
-    "divpoly-verify",
-    "code-bound",
-    "optimize",
-    "verify-identities",
-]
-
 
 def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -89,48 +81,60 @@ def _is_number(value) -> bool:
     )
 
 
+# options read by more than one subcommand; each declares the ones it reads
+_SHARED = {
+    "--family": {"default": None},
+    "--T": {"type": float, "default": None},
+    "--x-bound": {"type": int, "default": None},
+    "--delta": {"type": float, "default": 0.1},
+    "--precision": {"type": float, "default": 1e-10},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="integral-census",
         description="Integral-point censuses, heights, and code-bound pipelines.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", default=None)
-    common.add_argument("--T", type=float, default=None)
-    common.add_argument("--x-bound", type=int, default=None)
-    common.add_argument("--delta", type=float, default=0.1)
-    common.add_argument("--precision", type=float, default=1e-10)
-    common.add_argument("--threads", type=int, default=1, help="ignored; every run is serial")
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=["json", "csv"], default="json")
+    # every subcommand takes these two, and neither enters the report
+    io_opts = argparse.ArgumentParser(add_help=False)
+    io_opts.add_argument("--threads", type=int, default=1, help="ignored; every run is serial")
+    io_opts.add_argument("--out", default=None)
 
-    p = sub.add_parser("census", parents=[common])
+    def add(name: str, *shared: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[io_opts])
+        for opt in shared:
+            p.add_argument(opt, **_SHARED[opt])
+        return p
+
+    p = add("census", "--family", "--T", "--x-bound")
     p.add_argument("--curve", default=None, help="single curve 'a,b'")
-    p = sub.add_parser("small-points", parents=[common])
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p = add("small-points", "--family", "--T")
     p.add_argument("--exponent", type=float, default=1.0)
-    p = sub.add_parser("heights", parents=[common])
+    p = add("heights", "--precision")
     p.add_argument("--curve", required=True)
     p.add_argument("--point", required=True, help="'x,y' with rational entries")
-    p = sub.add_parser("gap-survey", parents=[common])
+    p = add("gap-survey", "--family", "--T", "--x-bound", "--delta", "--precision")
     p.add_argument("--min-height", default="0")
     p.add_argument("--restrict-filtered", action="store_true")
-    p = sub.add_parser("divpoly-verify", parents=[common])
+    p = add("divpoly-verify")
     p.add_argument("--n-max", type=int, default=16)
     p.add_argument("--k1", type=float, default=1e10)
     p.add_argument("--k2", type=float, default=1.0)
     p.add_argument("--k3", type=float, default=1e6)
-    p = sub.add_parser("code-bound", parents=[common])
+    p = add("code-bound")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--method", choices=["cap", "rp1", "kl", "lp", "best"], default="best")
-    p.add_argument("--degree", type=int, default=20)
-    p.add_argument("--grid-size", type=int, default=400)
-    p = sub.add_parser("optimize", parents=[common])
+    p.add_argument("--degree", type=int, default=None, help="lp only; default 20")
+    p.add_argument("--grid-size", type=int, default=None, help="lp only; default 400")
+    p = add("optimize")
     p.add_argument("--model", choices=["minimalist", "moments"], default="moments")
     p.add_argument("--config", default=None, help="key = value parameter file")
     p.add_argument("--search", action="store_true", help="grid search instead of single evaluation")
-    p = sub.add_parser("verify-identities", parents=[common])
+    p = add("verify-identities", "--x-bound")
     p.add_argument("--check", choices=["mod3", "triple-root", "mult", "all"], default="all")
     p.add_argument("--coeff-bound", type=int, default=30)
     return parser
@@ -147,11 +151,7 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
         parser.print_usage(sys.stderr)
         return 1, None
     try:
-        handler = _HANDLERS[args.subcommand]
-    except KeyError:
-        return 1, None
-    try:
-        doc = handler(args)
+        doc = _HANDLERS[args.subcommand](args)
         _emit(args, doc)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -163,7 +163,8 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
 
 
 def _emit(args, doc: dict) -> None:
-    if args.format == "csv" and "csv_rows" in doc["results"]:
+    # only census has --format, and only a family census has csv_rows
+    if getattr(args, "format", "json") == "csv" and "csv_rows" in doc["results"]:
         rows = doc["results"]["csv_rows"]
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -300,8 +301,8 @@ def _cmd_gap_survey(args) -> dict:
 
 
 def _cmd_divpoly_verify(args) -> dict:
-    if args.n_max < 2:
-        raise ValueError("--n-max must be >= 2")
+    if not 2 <= args.n_max <= divpoly.PSI_N_MAX:
+        raise ValueError(f"--n-max must lie in [2, {divpoly.PSI_N_MAX}]")
     config = {
         "subcommand": "divpoly-verify",
         "n_max": args.n_max,
@@ -312,8 +313,8 @@ def _cmd_divpoly_verify(args) -> dict:
     growth = divpoly.verify_coeff_growth(args.n_max, args.k1, args.k2, args.k3)
     homogeneous = True
     leading = True
-    for n in range(1, min(args.n_max, 32) + 1):
-        poly = divpoly.psi(n, n_max=max(args.n_max, divpoly.DEFAULT_N_MAX))
+    for n in range(1, args.n_max + 1):
+        poly = divpoly.psi(n)
         # psi_n has weight (n^2 - 1) / 2 with y of weight 3/2, and every
         # term's implied x-exponent xpart_weight - 2 f_A - 3 f_B is >= 0
         if 2 * poly.xpart_weight + 3 * poly.y_factor != n * n - 1 or any(
@@ -339,9 +340,16 @@ def _cmd_code_bound(args) -> dict:
         "theta": args.theta,
         "method": args.method,
     }
+    if args.method == "lp":
+        config["degree"] = 20 if args.degree is None else args.degree
+        config["grid_size"] = 400 if args.grid_size is None else args.grid_size
+    elif args.degree is not None or args.grid_size is not None:
+        raise ValueError("--degree and --grid-size are read only by --method lp")
     if args.method == "cap":
         res = codes.CodeBoundResult(args.r, args.theta, "cap", codes.cap_bound(args.r, args.theta))
     elif args.method == "rp1":
+        if args.r != 2:
+            raise ValueError(f"--method rp1 bounds lines in the plane: --r must be 2, got {args.r}")
         res = codes.CodeBoundResult(2, args.theta, "rp1", float(codes.rp1_bound(args.theta)))
     elif args.method == "kl":
         res = codes.CodeBoundResult(
@@ -349,7 +357,7 @@ def _cmd_code_bound(args) -> dict:
             detail={"rate": float(codes.kl_exponent(args.theta))},
         )
     elif args.method == "lp":
-        res = codes.lp_bound(args.r, args.theta, args.degree, args.grid_size)
+        res = codes.lp_bound(args.r, args.theta, config["degree"], config["grid_size"])
     else:
         res = codes.best_code_bound(args.r, args.theta)
     results = {
@@ -379,8 +387,19 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+# c, D, s and J make the one parameter vector read without --search
+_POINT_KEYS = {"c", "D", "s", "J"}
+_CONFIG_KEYS = {"moment_caps", "floors", "density", "grid"} | _POINT_KEYS
+
+
 def _cmd_optimize(args) -> dict:
     overrides = _read_config_file(args.config) if args.config else {}
+    if unknown := sorted(set(overrides) - _CONFIG_KEYS):
+        raise ValueError(f"unknown --config keys {unknown}, expected some of {sorted(_CONFIG_KEYS)}")
+    if args.search and _POINT_KEYS & set(overrides):
+        raise ValueError("--search does not read c, D, s or J; give their values in grid")
+    if not args.search and "grid" in overrides:
+        raise ValueError("grid is read only with --search")
     model = (
         optimizer.RankModel.minimalist()
         if args.model == "minimalist"

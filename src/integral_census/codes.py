@@ -90,11 +90,11 @@ def rp1_bound(theta: float) -> int:
     return int(mp.floor(mp.pi / mp.mpf(theta)))
 
 
-def kl_exponent(theta: float, dps: int = 50):
-    """Per-dimension exponential rate of the sphere-code bound."""
+def kl_exponent(theta: float):
+    """Per-dimension exponential rate of the sphere-code bound, at 50 digits."""
     if not 0 < theta <= math.pi / 2:
         raise ValueError("theta must lie in (0, pi/2]")
-    with mp.workdps(dps):
+    with mp.workdps(50):
         st = mp.sin(mp.mpf(theta))
         a = (1 + st) / (2 * st)
         b = (1 - st) / (2 * st)
@@ -102,8 +102,8 @@ def kl_exponent(theta: float, dps: int = 50):
         return rate
 
 
-def kl_base(theta: float, dps: int = 50) -> float:
-    return float(mp.e ** kl_exponent(theta, dps))
+def kl_base(theta: float) -> float:
+    return float(mp.e ** kl_exponent(theta))
 
 
 def kl_invert(base: float) -> dict:

@@ -71,8 +71,6 @@ class FilterDiagnostics:
     condition_flags: tuple[bool, bool, bool, bool, bool]
     small_integral: bool
     small_rational: bool
-    delta: float
-    T: float
 
     @property
     def passes_size(self) -> bool:
@@ -111,7 +109,7 @@ def _quasiminimal(a: int, b: int) -> bool:
     # gcd(a, b), and v_p(g) >= 4 iff v_p(a) >= 4 and v_p(b) >= 4, so only g
     # needs factoring; g < 16 = 2^4 has no fourth-power divisor at all.
     if a == 0:
-        return not _has_sixth_power(b)
+        return not _has_power(b, 6)
     g = math.gcd(a, b)
     if g < 16:
         return True
@@ -121,16 +119,11 @@ def _quasiminimal(a: int, b: int) -> bool:
     return True
 
 
-def _has_sixth_power(n: int) -> bool:
+def _has_power(n: int, k: int) -> bool:
+    """Whether p^k | n for some prime p; true for n = 0."""
     if n == 0:
         return True
-    return any(e >= 6 for e in sympy.factorint(abs(n)).values())
-
-
-def _has_fourth_power(n: int) -> bool:
-    if n == 0:
-        return True
-    return any(e >= 4 for e in sympy.factorint(abs(n)).values())
+    return any(e >= k for e in sympy.factorint(abs(n)).values())
 
 
 def _squarefree_positive(n: int) -> bool:
@@ -146,9 +139,9 @@ def is_family_member(curve: CurveModel, family: Family) -> bool:
     if family is Family.UNIVERSAL:
         return _quasiminimal(a, b)
     if family is Family.MORDELL:
-        return a == 0 and not _has_sixth_power(b)
+        return a == 0 and not _has_power(b, 6)
     if family is Family.B0:
-        return b == 0 and not _has_fourth_power(a)
+        return b == 0 and not _has_power(a, 4)
     if family is Family.CONGRUENT:
         if b != 0 or a >= 0:
             return False
@@ -267,13 +260,7 @@ def filter_diagnostics(
     gcd_small = math.gcd(a, b) <= gcd_max
     disc_big = abs(disc) >= disc_min
     if lazy and not (a_big and b_big and gcd_small and disc_big):
-        return FilterDiagnostics(
-            (a_big, b_big, gcd_small, disc_big, False),
-            False,
-            False,
-            delta,
-            float(T),
-        )
+        return FilterDiagnostics((a_big, b_big, gcd_small, disc_big, False), False, False)
     sf_small = squarefull_part(disc) <= sf_max
     if x_bound_cap is not None:
         x_cut = min(x_cut, x_bound_cap)
@@ -281,13 +268,7 @@ def filter_diagnostics(
 
     small_int = len(points.integral_points(curve, x_cut)) == 0
     small_rat = not _has_small_rational_point(curve, num_cut, den_cut)
-    return FilterDiagnostics(
-        (a_big, b_big, gcd_small, disc_big, sf_small),
-        small_int,
-        small_rat,
-        delta,
-        float(T),
-    )
+    return FilterDiagnostics((a_big, b_big, gcd_small, disc_big, sf_small), small_int, small_rat)
 
 
 def _has_small_rational_point(curve: CurveModel, num_cut: int, den_cut: int) -> bool:

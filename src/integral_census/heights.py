@@ -30,7 +30,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .families import CurveModel
-from .points import CurvePoint, Identity, add, negate, on_curve
+from .points import CurvePoint, add, on_curve
 
 __all__ = [
     "HeightProfile",
@@ -53,7 +53,6 @@ class HeightProfile:
     weil: float
     canonical: float
     local: dict = field(default_factory=dict)
-    precision_goal: float = 1e-10
     is_torsion: bool = False
 
 
@@ -211,9 +210,6 @@ class _PAdic:
     def sub(self, o: "_PAdic") -> "_PAdic":
         return self.add(_PAdic(o.p, o.val, -o.unit % (o.p ** max(o.aprec - o.val, 1)) if o.unit else 0, o.aprec))
 
-    def scalar(self, c: int) -> "_PAdic":
-        return self.mul(_PAdic.from_fraction(self.p, Fraction(c), self.aprec - self.val + 8))
-
 
 def _vp(n: int, p: int) -> int:
     n = abs(n)
@@ -346,7 +342,6 @@ def canonical_height(
             weil=weil_height(p),
             canonical=0.0,
             local={},
-            precision_goal=precision_goal,
             is_torsion=True,
         )
     dps = int(-mp.log10(mp.mpf(precision_goal))) + 35
@@ -374,7 +369,6 @@ def canonical_height(
             weil=weil_height(p),
             canonical=float(total),
             local=locals_out,
-            precision_goal=precision_goal,
         )
 
 
@@ -446,15 +440,15 @@ def _height_gap(curve: CurveModel, p: CurvePoint, prof: HeightProfile) -> dict:
 # real period
 
 
-def real_period(curve: CurveModel, precision_goal: float = 1e-12) -> float:
-    """omega_1 = 2 int_rho^inf dx / sqrt(x^3 + Ax + B), two ways."""
+def real_period(curve: CurveModel) -> float:
+    """omega_1 = 2 int_rho^inf dx / sqrt(x^3 + Ax + B), two ways that must
+    agree to a relative 1e-12."""
     if curve.disc() == 0:
         raise ValueError("singular cubic")
-    dps = int(-mp.log10(mp.mpf(precision_goal))) + 20
-    with mp.workdps(dps):
+    with mp.workdps(32):  # 20 guard digits past the 12 that must agree
         agm_val = _period_agm(curve)
         quad_val = _period_quad(curve)
-        if abs(agm_val - quad_val) > precision_goal * max(1, abs(agm_val)):
+        if abs(agm_val - quad_val) > 1e-12 * max(1, abs(agm_val)):
             raise PrecisionError("period routes disagree beyond goal")
         return float(agm_val)
 

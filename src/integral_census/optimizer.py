@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _DPS = 50
+_R_MAX = 40  # per_rank holds the bounds for ranks 0.._R_MAX
+_R_LP = 20  # the worst-case LP spans ranks 0.._R_LP, the tail envelope the rest
 
 # published comparison value for the unconditional average bound
 REPORTED_COMPARISON_BOUND = 65.8457
@@ -198,15 +200,13 @@ def _rank_bound(
     return 2 * r * shells * code + 9 * params.s * (3**r - 1)
 
 
-def _tail_bound(
-    params: OptimizerParams, dt: float, model: RankModel, r_max: int
-) -> float:
-    """sum_{r > r_max} cap * b_r / base^r using the fastest-decaying cap."""
+def _tail_bound(params: OptimizerParams, dt: float, model: RankModel) -> float:
+    """sum_{r > _R_LP} cap * b_r / base^r using the fastest-decaying cap."""
     if model.kind == "explicit" or not model.moment_caps:
         return 0.0
     base, cap = max(model.moment_caps, key=lambda bc: bc[0])
     total = 0.0
-    for r in range(r_max + 1, r_max + 200):
+    for r in range(_R_LP + 1, _R_LP + 200):
         term = cap * _rank_bound(r, params, dt) / base**r
         total += term
         if term < 1e-16:
@@ -215,21 +215,19 @@ def _tail_bound(
 
 
 def aggregate_bound(
-    model: RankModel, params: OptimizerParams = REFERENCE_PARAMS, r_max: int = 40
+    model: RankModel, params: OptimizerParams = REFERENCE_PARAMS
 ) -> BoundReport:
     """Average integral-point bound under a rank-distribution model.
 
     Raises ValueError if the parameters fail the feasibility constraints.
     """
-    report = _feasible_aggregate(model, params, r_max)
+    report = _feasible_aggregate(model, params)
     if report is None:
         raise ValueError(_INFEASIBLE)
     return report
 
 
-def _feasible_aggregate(
-    model: RankModel, params: OptimizerParams, r_max: int
-) -> BoundReport | None:
+def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundReport | None:
     """aggregate_bound, or None if the parameters fail the feasibility
     constraints; checks them once.  An infeasible floor/cap combination
     still raises ValueError."""
@@ -237,8 +235,8 @@ def _feasible_aggregate(
     if constraints is None:
         return None
     dt = float(d_tilde(params.D))
-    per_rank = {r: _rank_bound(r, params, dt) for r in range(0, r_max + 1)}
-    tail = _tail_bound(params, dt, model, min(r_max, 20))
+    per_rank = {r: _rank_bound(r, params, dt) for r in range(0, _R_MAX + 1)}
+    tail = _tail_bound(params, dt, model)
     if model.kind == "explicit":
         probs = model.probabilities or {}
         total = sum(probs.values())
@@ -260,12 +258,11 @@ def _feasible_aggregate(
             agg = float(model.density) * sum(
                 p * per_rank[r] for r, p in probs.items()
             )
-        return BoundReport(per_rank, agg, constraints, params, 0.0, r_max, aggregate_exact=exact)
-    # worst-case LP over distributions on {0..r_lp}; ranks above r_lp are
+        return BoundReport(per_rank, agg, constraints, params, 0.0, _R_MAX, aggregate_exact=exact)
+    # worst-case LP over distributions on {0.._R_LP}; ranks above _R_LP are
     # covered by the tail envelope (their probabilities are forced below
     # cap/base^r, and base^r overflows the LP solver's coefficient range)
-    r_lp = min(r_max, 20)
-    n = r_lp + 1
+    n = _R_LP + 1
     b = np.array([per_rank[r] for r in range(n)])
     # maximize b.p  ==  minimize -b.p
     a_ub, b_ub = [], []
@@ -299,14 +296,11 @@ def _feasible_aggregate(
     if not res.success:
         raise ValueError(f"infeasible floor/cap combination: {res.message}")
     agg = float(model.density) * float(-res.fun) + tail
-    return BoundReport(per_rank, agg, constraints, params, tail, r_max)
+    return BoundReport(per_rank, agg, constraints, params, tail, _R_MAX)
 
 
 def optimize(
-    model: RankModel,
-    grid: dict | None = None,
-    r_max: int = 40,
-    refine_iters: int = 40,
+    model: RankModel, grid: dict | None = None, refine_iters: int = 40
 ) -> BoundReport:
     """Grid search over (c, D, s, J) plus coordinate-descent refinement.
 
@@ -330,7 +324,7 @@ def optimize(
     best_key = None
     evaluated = []
     for params in candidates:
-        report = _feasible_aggregate(model, params, r_max)
+        report = _feasible_aggregate(model, params)
         if report is None:
             continue
         evaluated.append(report.aggregate)
@@ -339,13 +333,13 @@ def optimize(
             best, best_key = report, key
     if best is None:
         raise ValueError("no feasible point in grid")
-    best = _refine(model, best, r_max, refine_iters)
+    best = _refine(model, best, refine_iters)
     if evaluated and best.aggregate > min(evaluated) + 1e-12:
         raise AssertionError("refinement must not lose to an evaluated grid point")
     return best
 
 
-def _refine(model: RankModel, report: BoundReport, r_max: int, iters: int) -> BoundReport:
+def _refine(model: RankModel, report: BoundReport, iters: int) -> BoundReport:
     steps = {"c": 0.0005, "D": 50.0, "J_default": 0.02}
     best = report
     for _ in range(iters):
@@ -360,7 +354,7 @@ def _refine(model: RankModel, report: BoundReport, r_max: int, iters: int) -> Bo
                 setattr(trial, attr, getattr(p, attr) + sign * step)
                 if not (0 < trial.c < 1 and trial.D > 1 and 1 < trial.J_default < 2):
                     continue
-                cand = _feasible_aggregate(model, trial, r_max)
+                cand = _feasible_aggregate(model, trial)
                 if cand is not None and cand.aggregate < best.aggregate - 1e-12:
                     best = cand
                     improved = True

@@ -146,8 +146,6 @@ def small_point_statistics(family: Family, T: float, exponent: float) -> dict:
     if not 0 <= exponent <= 6:
         raise ValueError("exponent must lie in [0, 6]")
     x_cut = max(1, int(float(T) ** exponent))
-    if exponent == 0:
-        x_cut = 1
     curves = list(enumerate_family(family, T))
     triple_count = sum(len(integral_points(c, x_cut)) for c in curves)
     size = len(curves)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -169,6 +170,32 @@ def test_code_bound_methods(capsys):
     assert status == 0 and doc["results"]["certified"]
 
 
+def test_code_bound_rp1_rejects_r_other_than_2(capsys):
+    status, doc = run(["code-bound", "--r", "5", "--theta", "1.0", "--method", "rp1"])
+    assert status == 1 and doc is None
+    assert "--r must be 2" in capsys.readouterr().err
+
+
+def test_code_bound_lp_config_records_degree_and_grid(capsys):
+    argv = ["code-bound", "--r", "4", "--theta", "1.0", "--method", "lp"]
+    _, default, _ = _run(argv, capsys)
+    _, deg10, _ = _run(argv + ["--degree", "10"], capsys)
+    _, deg20, _ = _run(argv + ["--degree", "20", "--grid-size", "400"], capsys)
+    assert default["config"]["degree"] == 20 and default["config"]["grid_size"] == 400
+    assert deg20 == default
+    assert deg10["config"]["degree"] == 10
+    assert deg10["results"]["bound"] != deg20["results"]["bound"]
+    assert deg10["content_hash"] != deg20["content_hash"]
+
+
+@pytest.mark.parametrize("method", ["best", "cap", "rp1", "kl"])
+@pytest.mark.parametrize("option", [["--degree", "10"], ["--grid-size", "800"]])
+def test_code_bound_lp_options_with_other_method_exit_1(method, option, capsys):
+    status, doc = run(["code-bound", "--r", "4", "--theta", "1.0", "--method", method] + option)
+    assert status == 1 and doc is None
+    assert "read only by --method lp" in capsys.readouterr().err
+
+
 def test_optimize_minimalist(capsys):
     status, doc, _ = _run(["optimize", "--model", "minimalist"], capsys)
     assert status == 0
@@ -197,6 +224,9 @@ def test_optimize_config_override(tmp_path, capsys):
         ("grid = 5", True),
         ('grid = {"c": 0.99}', True),
         ("D = [700.0]", False),
+        ("Dd = 700", False),
+        ('grid = {"c": [0.99]}', False),
+        ("D = 700.0", True),
     ],
 )
 def test_optimize_config_bad_shape_exits_1(tmp_path, capsys, line, search):
@@ -248,8 +278,8 @@ def _negative_x_exponent(poly):
 def test_divpoly_verify_homogeneity_can_fail(damage, monkeypatch, capsys):
     real = divpoly.psi
 
-    def psi(n, n_max=divpoly.DEFAULT_N_MAX):
-        poly = real(n, n_max)
+    def psi(n):
+        poly = real(n)
         return damage(poly) if n == 5 else poly
 
     monkeypatch.setattr(divpoly, "psi", psi)
@@ -263,6 +293,16 @@ def test_divpoly_verify_empty_range_exits_1(n_max, capsys):
     status, doc = run(["divpoly-verify", "--n-max", n_max])
     assert status == 1 and doc is None
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_divpoly_verify_rejects_n_max_above_limit_without_building_psi(monkeypatch, capsys):
+    def psi(n):
+        raise AssertionError("psi called")
+
+    monkeypatch.setattr(divpoly, "psi", psi)
+    status, doc = run(["divpoly-verify", "--n-max", str(divpoly.PSI_N_MAX + 1)])
+    assert status == 1 and doc is None
+    assert capsys.readouterr().err.startswith("error: --n-max must lie in [2, 32]")
 
 
 def test_gap_survey_json(capsys):
@@ -298,3 +338,64 @@ def test_parser_lists_all_subcommands():
     text = parser.format_help()
     for name in ["census", "gap-survey", "optimize", "verify-identities"]:
         assert name in text
+
+
+# a cheap valid run of each subcommand
+_BASE_ARGV = {
+    "census": ["census", "--family", "mordell", "--T", "2", "--x-bound", "10"],
+    "small-points": ["small-points", "--family", "mordell", "--T", "2"],
+    "heights": ["heights", "--curve", "0,-2", "--point", "3,5"],
+    "gap-survey": ["gap-survey", "--family", "mordell", "--T", "2", "--x-bound", "10"],
+    "divpoly-verify": ["divpoly-verify", "--n-max", "2"],
+    "code-bound": ["code-bound", "--r", "2", "--theta", "1.0", "--method", "rp1"],
+    "optimize": ["optimize", "--model", "minimalist"],
+    "verify-identities": ["verify-identities", "--check", "mod3", "--coeff-bound", "2"],
+}
+_VALUE = {
+    "--family": "mordell",
+    "--T": "2",
+    "--x-bound": "10",
+    "--delta": "0.1",
+    "--precision": "1e-10",
+    "--format": "json",
+}
+# every (subcommand, option) pair that the subcommand does not read
+_UNREAD = [
+    ("census", "--delta"),
+    ("census", "--precision"),
+    *[("small-points", o) for o in ("--x-bound", "--delta", "--precision", "--format")],
+    *[("heights", o) for o in ("--family", "--T", "--x-bound", "--delta", "--format")],
+    ("gap-survey", "--format"),
+    *[(cmd, o) for cmd in ("divpoly-verify", "code-bound", "optimize") for o in _VALUE],
+    *[("verify-identities", o) for o in ("--family", "--T", "--delta", "--precision", "--format")],
+]
+
+
+@pytest.mark.parametrize("subcommand, option", _UNREAD)
+def test_subcommand_rejects_option_it_does_not_read(subcommand, option, capsys):
+    status, doc = run(_BASE_ARGV[subcommand] + [option, _VALUE[option]])
+    assert status == 1 and doc is None
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", sorted(_BASE_ARGV))
+def test_out_and_threads_accepted_by_every_subcommand(subcommand, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    status, doc = run(_BASE_ARGV[subcommand] + ["--threads", "8", "--out", str(out)])
+    assert status == 0
+    assert json.loads(out.read_text()) == doc
+
+
+def test_cli_declares_49_options():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(subparsers) == sorted(_BASE_ARGV)
+    declared = {
+        (name, opt)
+        for name, p in subparsers.items()
+        for action in p._actions
+        if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+    assert len(declared) == 49 and len(_UNREAD) == 35
+    assert not declared & set(_UNREAD)

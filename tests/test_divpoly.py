@@ -231,7 +231,7 @@ def test_psi_bounds():
     with pytest.raises(ValueError):
         psi(0)
     with pytest.raises(ValueError):
-        psi(100, n_max=64)
+        psi(100)
     with pytest.raises(ValueError):
         multiply_point(CurveModel(0, 1), CurvePoint.affine(2, 3), 100)
 
@@ -255,3 +255,14 @@ def test_psi_cache_rewrites_unversioned_file(tmp_path, monkeypatch):
     finally:
         divpoly._psi_cache.clear()
         divpoly._psi_cache.update(fresh)
+
+
+def test_psi_stops_at_measured_limit():
+    assert divpoly.PSI_N_MAX == 32
+    with pytest.raises(ValueError, match="exceeds PSI_N_MAX"):
+        psi(33)
+    with pytest.raises(ValueError, match="n_max must lie in"):
+        verify_coeff_growth(33, 1e10, 1.0, 1e6)
+    # multiply_point builds no symbolic psi and keeps its own limit of 64
+    with pytest.raises(ValueError):
+        multiply_point(CurveModel(0, 1), CurvePoint.affine(2, 3), 65)
