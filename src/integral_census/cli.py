@@ -336,10 +336,13 @@ def _cmd_divpoly_verify(args) -> dict:
 def _cmd_code_bound(args) -> dict:
     config = {
         "subcommand": "code-bound",
-        "r": args.r,
         "theta": args.theta,
         "method": args.method,
     }
+    # kl_base depends on theta alone; every other method reads r
+    reads_r = args.method != "kl"
+    if reads_r:
+        config["r"] = args.r
     if args.method == "lp":
         config["degree"] = 20 if args.degree is None else args.degree
         config["grid_size"] = 400 if args.grid_size is None else args.grid_size
@@ -361,13 +364,14 @@ def _cmd_code_bound(args) -> dict:
     else:
         res = codes.best_code_bound(args.r, args.theta)
     results = {
-        "r": res.r,
         "theta": res.theta,
         "method": res.method,
         "bound": res.bound,
         "certified": res.certified,
         "detail": None if res.detail is None else dict(res.detail),
     }
+    if reads_r:
+        results["r"] = res.r
     return _finalize(config, results)
 
 
@@ -405,6 +409,8 @@ def _cmd_optimize(args) -> dict:
         if args.model == "minimalist"
         else optimizer.RankModel.moments()
     )
+    config = {"subcommand": "optimize", "model": args.model, "search": bool(args.search)}
+    # an override enters the hashed config only when given, so a run without it keeps its hash
     if "moment_caps" in overrides:
         caps = overrides["moment_caps"]
         if not (
@@ -413,40 +419,37 @@ def _cmd_optimize(args) -> dict:
         ):
             raise ValueError(f"moment_caps must be a list of [base, cap] number pairs, got {caps!r}")
         model.moment_caps = [tuple(x) for x in caps]
+        config["moment_caps"] = caps
     if "floors" in overrides:
         floors = overrides["floors"]
         if not (isinstance(floors, dict) and all(map(_is_number, floors.values()))):
             raise ValueError(f"floors must map names to numbers, got {floors!r}")
         model.floors = dict(floors)
+        config["floors"] = floors
     if "density" in overrides:
         model.density = _fraction(overrides["density"], "density").limit_denominator(10**6)
-    try:
-        params = optimizer.OptimizerParams(
-            c=float(overrides.get("c", optimizer.REFERENCE_PARAMS.c)),
-            D=float(overrides.get("D", optimizer.REFERENCE_PARAMS.D)),
-            s=int(overrides.get("s", optimizer.REFERENCE_PARAMS.s)),
-            J_default=float(overrides.get("J", 1.2)),
-        )
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"c, D, s and J must be numbers: {exc}") from exc
-    config = {
-        "subcommand": "optimize",
-        "model": args.model,
-        "c": params.c,
-        "D": params.D,
-        "s": params.s,
-        "J": params.J_default,
-        "search": bool(args.search),
-    }
+        config["density"] = str(model.density)
     if args.search:
         grid = overrides.get("grid")
-        if grid is not None and not (
-            isinstance(grid, dict)
-            and all(isinstance(v, list) and all(map(_is_number, v)) for v in grid.values())
-        ):
-            raise ValueError(f"grid must map parameter names to lists of numbers, got {grid!r}")
+        if grid is not None:
+            if not (
+                isinstance(grid, dict)
+                and all(isinstance(v, list) and all(map(_is_number, v)) for v in grid.values())
+            ):
+                raise ValueError(f"grid must map parameter names to lists of numbers, got {grid!r}")
+            config["grid"] = grid
         report = optimizer.optimize(model, grid)
     else:
+        try:
+            params = optimizer.OptimizerParams(
+                c=float(overrides.get("c", optimizer.REFERENCE_PARAMS.c)),
+                D=float(overrides.get("D", optimizer.REFERENCE_PARAMS.D)),
+                s=int(overrides.get("s", optimizer.REFERENCE_PARAMS.s)),
+                J_default=float(overrides.get("J", 1.2)),
+            )
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"c, D, s and J must be numbers: {exc}") from exc
+        config.update(c=params.c, D=params.D, s=params.s, J=params.J_default)
         report = optimizer.aggregate_bound(model, params)
     results = {
         "aggregate": report.aggregate,

@@ -1,8 +1,13 @@
 """Exact group law, integral-point censuses, and small-point statistics.
 
-The x-scan is one exact path for every magnitude: a numpy quadratic-residue
-sieve discards almost every x, and big-int ``math.isqrt`` confirms the rest
-(see ``_scan``).
+Every integral point comes from the exact x-scan of ``_scan``: a numpy
+quadratic-residue sieve discards almost every x, and big-int
+``math.isqrt`` confirms the rest, at any magnitude.  ``integral_points``
+scans one curve over |x| <= x_bound.  ``small_point_statistics`` scans the
+whole family over |x| <= T^exponent in one call.  The window's width alone
+decides how the sieve runs: a window under ``_scan._SMALL_SPAN`` x-values
+is sieved as (curve, x) blocks over many curves, a wider one curve by
+curve.  The confirm step is the same either way.
 """
 
 from __future__ import annotations
@@ -146,9 +151,13 @@ def small_point_statistics(family: Family, T: float, exponent: float) -> dict:
     if not 0 <= exponent <= 6:
         raise ValueError("exponent must lie in [0, 6]")
     x_cut = max(1, int(float(T) ** exponent))
-    curves = list(enumerate_family(family, T))
-    triple_count = sum(len(integral_points(c, x_cut)) for c in curves)
-    size = len(curves)
+    a, b = [], []
+    for c in enumerate_family(family, T):
+        a.append(c.a)
+        b.append(c.b)
+    # one scan for the whole family; (x, y) with y != 0 counts with (x, -y)
+    triple_count = sum(2 if y else 1 for _, _, y in _scan.scan_curves(a, b, -x_cut, x_cut))
+    size = len(a)
     return {
         "triple_count": triple_count,
         "family_size": size,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from integral_census import divpoly
+from integral_census import divpoly, optimizer
 from integral_census.cli import _canonical_json, build_parser, run
 
 
@@ -188,6 +188,14 @@ def test_code_bound_lp_config_records_degree_and_grid(capsys):
     assert deg10["content_hash"] != deg20["content_hash"]
 
 
+def test_code_bound_kl_leaves_out_the_r_it_ignores(capsys):
+    argv = ["code-bound", "--theta", "1.0", "--method", "kl"]
+    _, r3, _ = _run(argv + ["--r", "3"], capsys)
+    _, r9, _ = _run(argv + ["--r", "9"], capsys)
+    assert "r" not in r3["config"] and "r" not in r3["results"]
+    assert r3["content_hash"] == r9["content_hash"]
+
+
 @pytest.mark.parametrize("method", ["best", "cap", "rp1", "kl"])
 @pytest.mark.parametrize("option", [["--degree", "10"], ["--grid-size", "800"]])
 def test_code_bound_lp_options_with_other_method_exit_1(method, option, capsys):
@@ -246,6 +254,47 @@ def test_optimize_config_density_fraction(tmp_path, capsys):
     )
     assert status == 0
     assert doc["results"]["aggregate"] == pytest.approx(2 / 3, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "line, key, recorded",
+    [
+        ("density = 2/3", "density", "2/3"),
+        ("floors = {\"rank0\": 0.25}", "floors", {"rank0": 0.25}),
+        ("moment_caps = [[3, 4.0]]", "moment_caps", [[3, 4.0]]),
+    ],
+)
+def test_optimize_config_records_given_model_overrides(tmp_path, capsys, line, key, recorded):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["optimize", "--model", "minimalist"]
+    _, plain, _ = _run(argv, capsys)
+    _, given, _ = _run(argv + ["--config", str(cfg)], capsys)
+    # a run without overrides keeps the config it always had
+    assert set(plain["config"]) == {"subcommand", "model", "search", "c", "D", "s", "J"}
+    assert given["config"] == {**plain["config"], key: recorded}
+    assert given["content_hash"] != plain["content_hash"]
+
+
+def test_optimize_search_config_holds_only_what_the_search_reads(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "params.cfg"
+    grid = {"c": [0.99], "D": [700.0], "s": [3], "J": [1.2]}
+    cfg.write_text(f"grid = {json.dumps(grid)}\n")
+    searched = []
+
+    def one_point(model, given):
+        # the config is under test, not the search: skip its 40 refinement rounds
+        searched.append(given)
+        return optimizer.aggregate_bound(model, optimizer.REFERENCE_PARAMS)
+
+    monkeypatch.setattr(optimizer, "optimize", one_point)
+    status, doc, _ = _run(
+        ["optimize", "--model", "minimalist", "--search", "--config", str(cfg)], capsys
+    )
+    assert status == 0 and searched == [grid]
+    assert doc["config"] == {
+        "subcommand": "optimize", "model": "minimalist", "search": True, "grid": grid
+    }
 
 
 def test_verify_identities_mod3_small(capsys):

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from integral_census import _scan, _scan_py
-from integral_census.families import CurveModel, Family
+from integral_census.families import CurveModel, Family, enumerate_family
 from integral_census.points import (
     CurvePoint,
     Identity,
@@ -16,6 +17,7 @@ from integral_census.points import (
     negate,
     on_curve,
     scan_backend_name,
+    small_point_statistics,
 )
 
 
@@ -101,26 +103,71 @@ _SPANS = [
 _COEFF = st.integers(min_value=-(10**30), max_value=10**30)
 
 
-@given(
-    a=_COEFF,
-    b=_COEFF,
-    x_lo=st.one_of(
-        st.integers(min_value=-(10**6), max_value=10**6),
-        st.integers(min_value=10**19 - 10**6, max_value=10**19 + 10**6),
-        st.integers(min_value=-(10**19) - 10**6, max_value=-(10**19) + 10**6),
-    ),
-    span=st.sampled_from(_SPANS),
-    plant=st.one_of(st.none(), st.tuples(st.floats(0, 1), st.integers(0, 10**40))),
+@st.composite
+def _scan_cases(draw):
+    """Curves that share one x-window, some with a planted point in it, and
+    how many curves a block holds (None: as many as ``_CHUNK`` allows)."""
+    span = draw(st.sampled_from(_SPANS))
+    x_lo = draw(
+        st.one_of(
+            st.integers(min_value=-(10**6), max_value=10**6),
+            st.integers(min_value=10**19 - 10**6, max_value=10**19 + 10**6),
+            st.integers(min_value=-(10**19) - 10**6, max_value=-(10**19) + 10**6),
+        )
+    )
+    # the reference scan takes one Python step per x-value: few curves on long windows
+    count = draw(st.integers(0, 40 if span < _scan._CHUNK // 2 else 2))
+    a = draw(st.lists(_COEFF, min_size=count, max_size=count))
+    b = draw(st.lists(_COEFF, min_size=count, max_size=count))
+    for i in range(count):
+        if draw(st.booleans()):
+            # choose b so that (x0, y) lies on curve i: at least one point to find
+            x0 = x_lo + draw(st.integers(0, span - 1))
+            y = draw(st.integers(0, 10**40))
+            b[i] = y * y - x0**3 - a[i] * x0
+    per_block = draw(st.one_of(st.none(), st.integers(1, 8)))
+    return a, b, x_lo, span, per_block
+
+
+# curves y^2 = x^3 + i x + 1, each through (0, 1), one more than a block of _CHUNK cells holds
+_SPAN_BELOW = _scan._SMALL_SPAN - 1
+_OVER_ONE_BLOCK = _scan._CHUNK // _SPAN_BELOW + 1
+
+
+@given(_scan_cases())
+@example(
+    (list(range(_OVER_ONE_BLOCK)), [1] * _OVER_ONE_BLOCK, -(_SPAN_BELOW // 2), _SPAN_BELOW, None)
 )
 @settings(max_examples=60, deadline=None)
-def test_sieve_matches_reference_scan(a, b, x_lo, span, plant):
+def test_sieve_matches_reference_scan(case):
+    a, b, x_lo, span, per_block = case
     x_hi = x_lo + span - 1
-    if plant is not None:
-        # choose b so that (x0, y) lies on the curve: at least one point to find
-        where, y = plant
-        x0 = x_lo + min(span - 1, int(where * span))
-        b = y * y - x0**3 - a * x0
-    assert _scan.scan_range(a, b, x_lo, x_hi) == _scan_py.scan_range(a, b, x_lo, x_hi)
+    want = [_scan_py.scan_range(a[i], b[i], x_lo, x_hi) for i in range(len(a))]
+    # a block of per_block curves puts block boundaries among a few dozen curves
+    chunk = _scan._CHUNK if per_block is None else per_block * span
+    with mock.patch.object(_scan, "_CHUNK", chunk):
+        found = list(_scan.scan_curves(a, b, x_lo, x_hi))
+    assert found == [(i, x, y) for i, pts in enumerate(want) for x, y in pts]
+    if a:
+        assert _scan.scan_range(a[0], b[0], x_lo, x_hi) == want[0]
+
+
+@pytest.mark.parametrize(
+    "family, T", [(Family.UNIVERSAL, 8), (Family.MORDELL, 20), (Family.B0, 20), (Family.CONGRUENT, 20)]
+)
+def test_small_point_statistics_scans_the_family_at_once(family, T, monkeypatch):
+    exponent = 1.5
+    x_cut = int(T**exponent)
+    curves = list(enumerate_family(family, T))
+    want = sum(len(integral_points(c, x_cut)) for c in curves)
+    # a quiet fall-back to one scan per curve would call scan_range
+    calls = []
+    one_curve = _scan.scan_range
+    monkeypatch.setattr(_scan, "scan_range", lambda *args: calls.append(args) or one_curve(*args))
+    stats = small_point_statistics(family, T, exponent)
+    assert want > 0
+    assert (stats["triple_count"], stats["family_size"]) == (want, len(curves))
+    assert calls == []
 
 
 def test_integral_points_fermat():
