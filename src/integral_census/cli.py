@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=float, default=1.0)
     p.add_argument("--k3", type=float, default=1e6)
     p = add("code-bound")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, default=None, help="read by every method but kl")
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--method", choices=["cap", "rp1", "kl", "lp", "best"], default="best")
     p.add_argument("--degree", type=int, default=None, help="lp only; default 20")
@@ -342,6 +342,8 @@ def _cmd_code_bound(args) -> dict:
     # kl_base depends on theta alone; every other method reads r
     reads_r = args.method != "kl"
     if reads_r:
+        if args.r is None:
+            raise ValueError(f"--method {args.method} requires --r")
         config["r"] = args.r
     if args.method == "lp":
         config["degree"] = 20 if args.degree is None else args.degree
@@ -400,6 +402,9 @@ def _cmd_optimize(args) -> dict:
     overrides = _read_config_file(args.config) if args.config else {}
     if unknown := sorted(set(overrides) - _CONFIG_KEYS):
         raise ValueError(f"unknown --config keys {unknown}, expected some of {sorted(_CONFIG_KEYS)}")
+    if args.model == "minimalist" and {"moment_caps", "floors"} & set(overrides):
+        raise ValueError("--model minimalist has explicit rank probabilities: it does not read "
+                         "moment_caps or floors")
     if args.search and _POINT_KEYS & set(overrides):
         raise ValueError("--search does not read c, D, s or J; give their values in grid")
     if not args.search and "grid" in overrides:

@@ -13,7 +13,6 @@ from enum import Enum
 from typing import Iterator
 
 import mpmath as mp
-import sympy
 
 __all__ = [
     "CurveModel",
@@ -88,9 +87,199 @@ def discriminant(a: int, b: int) -> int:
 
 def naive_height(a: int, b: int) -> mp.mpf:
     """max(4|a|^3, 27 b^2)^(1/6) at 50 significant digits."""
+    return _sixth_root(max(4 * abs(a) ** 3, 27 * b * b))
+
+
+@functools.lru_cache(maxsize=1024)
+def _sixth_root(m: int) -> mp.mpf:
+    # a family census has few distinct m: 21 among the 522 universal T = 4 curves
     with mp.workdps(50):
-        m = max(4 * abs(a) ** 3, 27 * b * b)
         return mp.mpf(m) ** (mp.mpf(1) / 6)
+
+
+# Exact factorization.  The family and filter tests factor numbers of a few
+# digits, but canonical_height factors the discriminant and denominators of
+# whatever curve and point a user gives: trial division by the primes below
+# 100, then a proven primality test, a perfect-power test and Pollard-Brent
+# rho on what is left.
+_SMALL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+    43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+)
+# (psi_k, k): strong tests to the first k prime bases are exact below psi_k
+# (OEIS A014233; psi_13 by Sorenson and Webster, 2015)
+_MR_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+
+
+def _factorint(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1, primes ascending."""
+    if n < 1:
+        raise ValueError(f"_factorint requires n >= 1, got {n}")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            n //= p
+            e = 1
+            while n % p == 0:
+                n //= p
+                e += 1
+            out[p] = e
+    if n < 101 * 101:  # no prime factor below 100 left: n is 1 or prime
+        if n > 1:
+            out[n] = 1
+        return out
+    rest: dict[int, int] = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if _is_prime(m):
+            rest[m] = rest.get(m, 0) + 1
+        else:
+            d = _perfect_root(m) or _rho(m)
+            stack += (d, m // d)
+    out.update(sorted(rest.items()))
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    """Primality of an n > 100 with no prime factor below 100.
+
+    Miller-Rabin with the first k prime bases, exact below psi_k; above
+    3.3e24, BPSW (a base-2 strong test and a strong Lucas test), which has
+    no known counterexample.
+    """
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for bound, k in _MR_BOUNDS:
+        if n < bound:
+            return all(_strong_prp(n, a, d, s) for a in _SMALL_PRIMES[:k])
+    return _strong_prp(n, 2, d, s) and _strong_lucas_prp(n)
+
+
+def _strong_prp(n: int, base: int, d: int, s: int) -> bool:
+    # n - 1 = d 2^s with d odd
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 3.3e24, with
+    Selfridge's parameters: the first D in 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4."""
+    r = math.isqrt(n)
+    if r * r == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # a factor of the small D divides the large n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    # U_k, V_k and Q^k mod n, doubling k along the bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U = (U + n) >> 1 if U & 1 else U >> 1
+            V = (V + n) >> 1 if V & 1 else V >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def _perfect_root(n: int) -> int | None:
+    """r if n = r^k for a prime k, else None; n has no prime factor below 100.
+
+    Rho needs about sqrt(p) steps to split p^k, so prime powers are caught
+    here first.  Every r is above 2^6, so k stops at a sixth of n's bits.
+    """
+    for k in _SMALL_PRIMES:
+        if 6 * k > n.bit_length():
+            return None
+        # Newton's method from above converges to floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while (t := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = t
+        if r**k == n:
+            return r
+    return None
+
+
+def _rho(n: int) -> int:
+    """A nontrivial factor of the odd composite n: Pollard's rho with
+    Brent's cycle search, trying c = 1, 2, ... until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def squarefull_part(n: int) -> int:
@@ -98,7 +287,7 @@ def squarefull_part(n: int) -> int:
     if n == 0:
         raise ValueError("squarefull_part requires nonzero input")
     out = 1
-    for p, e in sympy.factorint(abs(n)).items():
+    for p, e in _factorint(abs(n)).items():
         if e >= 2:
             out *= p**e
     return out
@@ -113,7 +302,7 @@ def _quasiminimal(a: int, b: int) -> bool:
     g = math.gcd(a, b)
     if g < 16:
         return True
-    for p, e in sympy.factorint(g).items():
+    for p, e in _factorint(g).items():
         if e >= 4 and b % p**6 == 0:
             return False
     return True
@@ -123,13 +312,13 @@ def _has_power(n: int, k: int) -> bool:
     """Whether p^k | n for some prime p; true for n = 0."""
     if n == 0:
         return True
-    return any(e >= k for e in sympy.factorint(abs(n)).values())
+    return any(e >= k for e in _factorint(abs(n)).values())
 
 
 def _squarefree_positive(n: int) -> bool:
     if n <= 0:
         return False
-    return all(e == 1 for e in sympy.factorint(n).values())
+    return all(e == 1 for e in _factorint(n).values())
 
 
 def is_family_member(curve: CurveModel, family: Family) -> bool:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .families import CurveModel
+from .families import CurveModel, _factorint
 from .points import CurvePoint, add, on_curve
 
 __all__ = [
@@ -350,11 +350,7 @@ def canonical_height(
         lam_inf = _lambda_inf(curve, x_real, mp.mpf(precision_goal))
         locals_out = {"infinity": float(lam_inf)}
         total = lam_inf
-        primes = set()
-        import sympy
-
-        primes.update(sympy.factorint(abs(curve.disc())).keys())
-        primes.update(sympy.factorint(p.x.denominator).keys())
+        primes = {*_factorint(abs(curve.disc())), *_factorint(p.x.denominator)}
         for q in sorted(primes):
             coeff = _lambda_p_formula(curve, q, p)
             if coeff is None:

@@ -53,6 +53,8 @@ REPORTED_COMPARISON_BOUND = 65.8457
 
 DEFAULT_MOMENT_CAPS = [(3, 4.0), (5, 6.0)]
 DEFAULT_FLOORS = {"rank0": 0.2275, "rank1": 0.22821, "rank01": 0.8422}
+# each floor bounds from below the probability of these ranks together
+_FLOOR_RANKS = {"rank0": (0,), "rank1": (1,), "rank01": (0, 1)}
 DEFAULT_DENSITY = Fraction(8, 9)
 
 
@@ -229,8 +231,10 @@ def aggregate_bound(
 
 def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundReport | None:
     """aggregate_bound, or None if the parameters fail the feasibility
-    constraints; checks them once.  An infeasible floor/cap combination
-    still raises ValueError."""
+    constraints; checks them once.  An unknown floor or an infeasible
+    floor/cap combination still raises ValueError."""
+    if unknown := sorted(set(model.floors) - set(_FLOOR_RANKS)):
+        raise ValueError(f"unknown floors {unknown}, expected some of {list(_FLOOR_RANKS)}")
     constraints = _feasible_constraints(params)
     if constraints is None:
         return None
@@ -269,22 +273,13 @@ def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundRepor
     for base, cap in model.moment_caps:
         a_ub.append([float(base) ** r for r in range(n)])
         b_ub.append(cap)
-    floors = model.floors
-    if "rank0" in floors:
-        row = [0.0] * n
-        row[0] = -1.0
-        a_ub.append(row)
-        b_ub.append(-floors["rank0"])
-    if "rank1" in floors:
-        row = [0.0] * n
-        row[1] = -1.0
-        a_ub.append(row)
-        b_ub.append(-floors["rank1"])
-    if "rank01" in floors:
-        row = [0.0] * n
-        row[0] = row[1] = -1.0
-        a_ub.append(row)
-        b_ub.append(-floors["rank01"])
+    for key, ranks in _FLOOR_RANKS.items():
+        if key in model.floors:
+            row = [0.0] * n
+            for r in ranks:
+                row[r] = -1.0
+            a_ub.append(row)
+            b_ub.append(-model.floors[key])
     res = linprog(
         -b,
         A_ub=np.array(a_ub),

@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,16 @@ def _run(argv, capsys):
     status, doc = run(argv)
     out = capsys.readouterr().out
     return status, doc, out
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    # the package factors with its own _factorint; sympy stays a test-only oracle
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import integral_census.cli; "
+        "assert 'sympy' not in sys.modules, 'sympy imported'"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -190,10 +203,19 @@ def test_code_bound_lp_config_records_degree_and_grid(capsys):
 
 def test_code_bound_kl_leaves_out_the_r_it_ignores(capsys):
     argv = ["code-bound", "--theta", "1.0", "--method", "kl"]
+    status, bare, _ = _run(argv, capsys)
     _, r3, _ = _run(argv + ["--r", "3"], capsys)
     _, r9, _ = _run(argv + ["--r", "9"], capsys)
+    assert status == 0 and bare == r3
     assert "r" not in r3["config"] and "r" not in r3["results"]
     assert r3["content_hash"] == r9["content_hash"]
+
+
+@pytest.mark.parametrize("method", ["best", "cap", "rp1", "lp"])
+def test_code_bound_methods_that_read_r_require_it(method, capsys):
+    status, doc = run(["code-bound", "--theta", "1.0", "--method", method])
+    assert status == 1 and doc is None
+    assert f"--method {method} requires --r" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["best", "cap", "rp1", "kl"])
@@ -240,7 +262,8 @@ def test_optimize_config_override(tmp_path, capsys):
 def test_optimize_config_bad_shape_exits_1(tmp_path, capsys, line, search):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(line + "\n")
-    argv = ["optimize", "--model", "minimalist", "--config", str(cfg)]
+    # the moments model reads every key, so the shape is what fails
+    argv = ["optimize", "--model", "moments", "--config", str(cfg)]
     status, doc = run(argv + ["--search"] * search)
     assert status == 1 and doc is None
     assert capsys.readouterr().err.startswith("error: ")
@@ -267,13 +290,22 @@ def test_optimize_config_density_fraction(tmp_path, capsys):
 def test_optimize_config_records_given_model_overrides(tmp_path, capsys, line, key, recorded):
     cfg = tmp_path / "params.cfg"
     cfg.write_text(line + "\n")
-    argv = ["optimize", "--model", "minimalist"]
+    argv = ["optimize", "--model", "moments"]
     _, plain, _ = _run(argv, capsys)
     _, given, _ = _run(argv + ["--config", str(cfg)], capsys)
     # a run without overrides keeps the config it always had
     assert set(plain["config"]) == {"subcommand", "model", "search", "c", "D", "s", "J"}
     assert given["config"] == {**plain["config"], key: recorded}
     assert given["content_hash"] != plain["content_hash"]
+
+
+@pytest.mark.parametrize("line", ['floors = {"rank0": 0.9}', "moment_caps = [[2, 0.01]]"])
+def test_optimize_minimalist_rejects_keys_it_does_not_read(tmp_path, capsys, line):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    status, doc = run(["optimize", "--model", "minimalist", "--config", str(cfg)])
+    assert status == 1 and doc is None
+    assert "does not read moment_caps or floors" in capsys.readouterr().err
 
 
 def test_optimize_search_config_holds_only_what_the_search_reads(tmp_path, capsys, monkeypatch):

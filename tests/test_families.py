@@ -1,10 +1,12 @@
 import math
+import random
 
 import mpmath as mp
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from integral_census import families
 from integral_census.families import (
@@ -222,3 +224,65 @@ def test_quasiminimal_matches_factoring_a():
     assert families._quasiminimal(2**3 * 3**3, 0)
     assert not families._quasiminimal(0, 2**6 * 5)
     assert families._quasiminimal(0, 2**5 * 3**5)
+
+
+# sympy.factorint is the oracle for the package's own exact factorization
+def test_factorint_matches_sympy_up_to_20000():
+    for n in range(1, 20001):
+        assert families._factorint(n) == sympy.factorint(n), n
+
+
+def test_factorint_matches_sympy_on_random_30_digit_numbers():
+    rng = random.Random(2024)
+    for _ in range(20):
+        n = rng.randrange(1, 10**30)
+        assert families._factorint(n) == sympy.factorint(n), n
+
+
+# psi_k: the least strong pseudoprime to the first k prime bases; the last two
+# are semiprimes of two 12- and 13-digit primes
+_PSI = [
+    1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+]
+_CARMICHAEL = [561, 1105, 1729, 2465, 41041, 825265, 321197185, 5394826801, 232250619601]
+# strong pseudoprimes to base 2: psi_4 and psi_9 above, and the squares of
+# the Wieferich primes, which no trial division below 100 splits
+_SPSP2 = [1093**2, 3511**2]
+
+
+@pytest.mark.parametrize("n", _PSI + _CARMICHAEL + _SPSP2)
+def test_factorint_splits_pseudoprimes(n):
+    assert families._factorint(n) == sympy.factorint(n)
+
+
+def test_factorint_semiprimes_and_prime_powers():
+    p, q = sympy.nextprime(10**11), sympy.nextprime(3 * 10**11)
+    assert families._factorint(p * q) == {p: 1, q: 1}
+    assert families._factorint(p**3) == {p: 3}
+    assert families._factorint(2**10 * 3**5 * p**2 * q) == {2: 10, 3: 5, p: 2, q: 1}
+    assert families._factorint(97**7) == {97: 7}
+    assert families._factorint(101**2) == {101: 2}
+
+
+def test_factorint_proves_primes_above_the_miller_rabin_bound():
+    # above 3.3e24 the test is BPSW: base-2 strong test and strong Lucas test
+    p = sympy.nextprime(10**25)
+    assert families._factorint(p) == {p: 1}
+    assert families._factorint(p * p) == {p: 2}
+    # a Chernick Carmichael number (6k+1)(12k+1)(18k+1) above the bound
+    k = 100000131
+    n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert n > 3317044064679887385961981
+    assert families._factorint(n) == {6 * k + 1: 1, 12 * k + 1: 1, 18 * k + 1: 1}
+
+
+def test_strong_lucas_matches_sympy():
+    for n in list(range(10**25 + 1, 10**25 + 2001, 2)) + [5459, 5777, 10877, 16109, 18971]:
+        assert families._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+
+
+def test_factorint_rejects_nonpositive():
+    for n in (0, -6):
+        with pytest.raises(ValueError):
+            families._factorint(n)

@@ -117,6 +117,14 @@ def test_moments_infeasible_floors_raise():
         aggregate_bound(model)
 
 
+@pytest.mark.parametrize("kind", ["minimalist", "moments"])
+def test_unknown_floor_raises(kind):
+    model = getattr(RankModel, kind)()
+    model.floors = {**model.floors, "rank2": 0.1}
+    with pytest.raises(ValueError, match="unknown floors"):
+        aggregate_bound(model)
+
+
 def test_optimize_dominates_reference():
     model = RankModel.moments()
     reference = aggregate_bound(model, REFERENCE_PARAMS)
