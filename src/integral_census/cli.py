@@ -484,12 +484,12 @@ def _cmd_verify_identities(args) -> dict:
     }
     if args.check in ("mod3", "all"):
         bound = args.coeff_bound
-        curves = [
+        grid = (
             CurveModel(a, b)
             for a in range(-bound, bound + 1)
             for b in range(-bound, bound + 1)
-            if a % 3 == 2 and b % 3 == 2 and CurveModel(a, b).disc() != 0
-        ]
+        )
+        curves = [c for c in grid if points.mod3_obstruction(c) and c.disc() != 0]
         counts = [len(points.integral_points(c, x_bound)) for c in curves]
         results["mod3"] = {
             "curves_checked": len(curves),

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from integral_census import divpoly, optimizer
+from integral_census import divpoly, optimizer, points
 from integral_census.cli import _canonical_json, build_parser, run
 
 
@@ -336,6 +337,37 @@ def test_verify_identities_mod3_small(capsys):
     )
     assert status == 0
     assert doc["results"]["mod3"]["all_empty"]
+
+
+# (content_hash, sha256 of the printed JSON), frozen from the inline
+# a % 3 == 2 and b % 3 == 2 filter that points.mod3_obstruction replaced
+_MOD3_FROZEN = {
+    ("--coeff-bound", "8", "--x-bound", "500"): (
+        "5ca078d45d02998ca18ce5d618dae2570c73b18c3f61513d6fc7142f3364a07f",
+        "6a55957e12d9587606a7ace8c0f04d7e9ebe83de7562936b015adbd5f60b3d50",
+    ),
+    ("--coeff-bound", "30", "--x-bound", "200"): (
+        "f30ea455f0eb1469eb0eb313138db6f4578f3099d672a8403a7076239ac780ce",
+        "1d6c5518b38eea0b7ab74bd169db448090273be57b967b6dcfeaa52776671ca3",
+    ),
+}
+
+
+@pytest.mark.parametrize("opts", sorted(_MOD3_FROZEN))
+def test_verify_identities_mod3_output_frozen(opts, capsys, monkeypatch):
+    checked = []
+    obstruction = points.mod3_obstruction
+
+    def recording(curve):
+        checked.append(curve)
+        return obstruction(curve)
+
+    monkeypatch.setattr(points, "mod3_obstruction", recording)
+    status, doc, out = _run(["verify-identities", "--check", "mod3", *opts], capsys)
+    assert status == 0
+    bound = int(opts[1])
+    assert len(checked) == (2 * bound + 1) ** 2
+    assert (doc["content_hash"], hashlib.sha256(out.encode()).hexdigest()) == _MOD3_FROZEN[opts]
 
 
 def test_divpoly_verify(capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from integral_census import codes
@@ -128,3 +129,78 @@ def test_memoized_code_bound_detail_is_read_only():
     with pytest.raises(TypeError):
         res.detail["degree"] = 0
     assert best_code_bound(4, PI3).detail["degree"] == 20
+
+
+@pytest.mark.parametrize("r", range(2, 17))
+def test_gegenbauer_series_matches_scipy_basis(r):
+    rng = np.random.default_rng(r)
+    degrees = list(range(2, 41, 2))
+    for ct in (0.0, 0.3, 0.5, 0.65, math.cos(PI3 / 2)):
+        t = np.concatenate(([0.0, ct], np.sort(rng.uniform(0.0, ct, 200))))
+        for n in (1, 5, len(degrees)):
+            coeffs = rng.exponential(10.0 ** rng.uniform(-2, 3), size=n)
+            want = 1.0 + coeffs @ codes._basis_eval(r, degrees[:n], t)
+            got = codes._gegenbauer_series(r, coeffs, t)
+            assert np.max(np.abs(got - want)) <= 1e-12 * (1 + coeffs.sum())
+
+
+# r = 15 at J = 2 cos(theta) = 1.3, a bound-workload case: the LP optimum is
+# negative on its 400 nodes but not between them, so the fine grid rejects it
+R15_THETA = math.acos(0.65)
+
+
+def test_lp_certificate_fails_at_r15_j13():
+    lp = lp_bound(15, R15_THETA)
+    assert lp.bound == pytest.approx(32115.77, abs=0.01)
+    assert not lp.certified
+    assert lp.detail["fine_grid_max"] == pytest.approx(1.40e-5, rel=0.01)
+    best = codes._best_code_bound(15, R15_THETA)
+    assert best.method == "cap" and best.bound == cap_bound(15, R15_THETA, projective=True)
+    assert best.bound == pytest.approx(1.4693e6, rel=1e-4)
+
+
+def _lp_coefficients(monkeypatch, r, theta):
+    """The coefficient vector of lp_bound's LP optimum."""
+    solved = []
+    solve = codes.linprog
+
+    def recording_linprog(*args, **kwargs):
+        solved.append(solve(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(codes, "linprog", recording_linprog)
+    lp_bound(r, theta)
+    (res,) = solved
+    return res.x
+
+
+def test_fine_grid_rejects_coefficients_positive_between_lp_nodes(monkeypatch):
+    coeffs = _lp_coefficients(monkeypatch, 15, R15_THETA)
+    assert np.all(coeffs >= 0)
+    nodes = np.linspace(0.0, 0.65, 400)
+    assert np.max(1.0 + coeffs @ codes._basis_eval(15, list(range(2, 21, 2)), nodes)) < 0
+    margin, certified = codes._fine_grid_check(15, coeffs, 0.65, 4000)
+    assert margin > 1e-6 and not certified
+
+
+def test_fine_grid_check_passes_a_certified_optimum_only_with_nonnegative_coefficients(
+    monkeypatch,
+):
+    coeffs = _lp_coefficients(monkeypatch, 4, PI3)
+    margin, certified = codes._fine_grid_check(4, coeffs, 0.5, 4000)
+    assert margin < 0 and certified
+    coeffs[np.argmin(coeffs)] = -1e-9
+    assert not codes._fine_grid_check(4, coeffs, 0.5, 4000)[1]
+
+
+@pytest.mark.parametrize("theta", [0.2, PI3, R15_THETA, math.acos(0.95), 1.5])
+def test_projective_cap_bound_matches_closed_form_bitwise(theta):
+    for r in range(3, 81):
+        with mp.workdps(50):
+            j = 2 * mp.cos(mp.mpf(theta))
+            want = float(
+                mp.sqrt(3 * r)
+                * (mp.mpf(1) / 2 - j / 4) ** ((1 - r) / mp.mpf(2))
+                * (mp.mpf(1) / 2 + j / 4) ** (mp.mpf(-1) / 2)
+            )
+        assert cap_bound(r, theta, projective=True) == want

