@@ -3,15 +3,15 @@
 For each modulus m, a table built once at import marks the residues
 (a, b, x) mod m for which x^3 + a x + b is a square mod m: the
 residue-table square test of Cohen, *A Course in Computational Algebraic
-Number Theory*, section 1.7.2.  The width of the x-window alone picks one
-of two ways to apply the tables:
+Number Theory*, section 1.7.2.  The input picks one of two ways to apply
+the tables:
 
-- a window of ``_SMALL_SPAN`` x-values or more is sieved one curve at a
-  time: the table row for (a mod m, b mod m) is tiled over the window, and
-  the rows are ANDed in numpy slices of ``_CHUNK`` x-values;
-- a shorter window is sieved for a whole list of curves at once: each
-  curve's row is read at the window's x residues into a (curve, x) block of
-  at most ``_CHUNK`` cells, and the blocks are ANDed over the moduli.
+- a lone curve, or a window of ``_SMALL_SPAN`` x-values or more, is sieved
+  one curve at a time: the table row for (a mod m, b mod m) is tiled over
+  the window, and the rows are ANDed in numpy slices of ``_CHUNK`` x-values;
+- several curves on a shorter window are sieved at once: each curve's row
+  is read at the window's x residues into a (curve, x) block of at most
+  ``_CHUNK`` cells, and the blocks are ANDed over the moduli.
 
 Both feed one confirm step: each surviving (curve, x), about 0.3% of a long
 window, is tested with ``math.isqrt`` on Python ints.  Residues are taken
@@ -31,8 +31,8 @@ _M = np.array(_MODULI)
 _MODULUS = math.prod(_MODULI)
 # cells (x-values, or curve-by-x pairs) sieved per numpy pass; bounds the scan's working memory
 _CHUNK = 1 << 16
-# windows of this many x-values or more are tiled one curve at a time: a lone curve
-# is cheaper tiled at any width, while over a family the blocks stay cheaper up to
+# several curves share a block only on a window shorter than this: a lone curve is
+# cheaper tiled at any width, while over a family the blocks stay cheaper up to
 # about 2000 x-values
 _SMALL_SPAN = 256
 
@@ -98,7 +98,8 @@ def scan_curves(a_seq, b_seq, x_lo: int, x_hi: int):
     n = x_hi - x_lo + 1
     if n < 1:
         return
-    candidates = _block_candidates if n < _SMALL_SPAN else _tiled_candidates
+    blocks = len(a_seq) > 1 and n < _SMALL_SPAN
+    candidates = _block_candidates if blocks else _tiled_candidates
     for i, x in candidates(a_seq, b_seq, x_lo, x_hi):
         v = x * x * x + a_seq[i] * x + b_seq[i]
         if v < 0:

@@ -27,11 +27,9 @@ __all__ = [
     "DivPoly",
     "PSI_N_MAX",
     "psi",
-    "psi_value",
     "multiply_point",
     "verify_coeff_growth",
     "triple_root_identity_check",
-    "denominator_of_multiple",
 ]
 
 PSI_N_MAX = 32
@@ -272,14 +270,6 @@ def _wpow3_mul(p_lin: DivPoly, p_cub: DivPoly) -> tuple[int, dict]:
 # numeric psi values at a point (y^2 eliminated through the actual y value)
 
 
-def psi_value(curve: CurveModel, p: CurvePoint, n: int) -> Fraction:
-    """psi_n evaluated at an affine point, exact rational."""
-    if p.is_identity:
-        raise ValueError("affine point required")
-    memo: dict[int, Fraction] = {}
-    return _psi_val(n, p.x, p.y, curve.a, curve.b, memo)
-
-
 def _psi_val(n, x, y, a, b, memo) -> Fraction:
     if n in memo:
         return memo[n]
@@ -461,12 +451,3 @@ def _triple_root_poly_coeffs(curve: CurveModel, xr: Fraction) -> list[Fraction]:
         out[i] -= c
     return out
 
-
-def denominator_of_multiple(curve: CurveModel, p: CurvePoint, n: int) -> int | None:
-    """Denominator of x(nP) in lowest terms; None when nP is the identity."""
-    if p.is_identity:
-        raise ValueError("affine point required")
-    q = multiply_point(curve, p, n)
-    if q.is_identity:
-        return None
-    return q.x.denominator

@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Iterator
 
 import mpmath as mp
+import numpy as np
 
 __all__ = [
     "CurveModel",
@@ -356,36 +357,62 @@ def _coeff_bounds(T: float) -> tuple[int, int]:
 
 
 def enumerate_family(family: Family, T: float) -> Iterator[CurveModel]:
-    """Family members of naive height <= T, lexicographic on (a, b)."""
+    """Family members of naive height <= T, lexicographic on (a, b); the
+    congruent family runs by ascending D, so descending a."""
+    for a, bs in _member_rows(family, T):
+        for b in bs:
+            yield CurveModel(a, b)
+
+
+# b-values per numpy pass over a universal row; bounds its working memory
+_ROW_CHUNK = 1 << 16
+
+
+def _member_rows(family: Family, T: float) -> Iterator[tuple[int, list[int]]]:
+    """The family members of naive height <= T as rows (a, [b, ...]): each
+    a once, its b ascending, in the order of enumerate_family.  T is
+    checked here, before the first row is asked for.
+    """
     if not (math.isfinite(T) and T >= 1):
         raise ValueError(f"T must be finite and >= 1, got {T!r}")
     a_max, b_max = _coeff_bounds(T)
     if family is Family.UNIVERSAL:
-        for a in range(-a_max, a_max + 1):
-            for b in range(-b_max, b_max + 1):
-                c = CurveModel(a, b)
-                if is_family_member(c, family):
-                    yield c
-    elif family is Family.MORDELL:
-        for b in range(-b_max, b_max + 1):
-            c = CurveModel(0, b)
-            if is_family_member(c, family):
-                yield c
-    elif family is Family.B0:
-        for a in range(-a_max, a_max + 1):
-            c = CurveModel(a, 0)
-            if is_family_member(c, family):
-                yield c
-    elif family is Family.CONGRUENT:
+        if b_max >= np.iinfo(np.int64).max:
+            raise ValueError(f"T = {T!r} is too large: |b| <= {b_max} does not fit int64")
+        return _universal_rows(a_max, b_max)
+    if family is Family.MORDELL:
+        # _has_power(0, 6) is true: the singular b = 0 goes too
+        return iter([(0, [b for b in range(-b_max, b_max + 1) if not _has_power(b, 6)])])
+    if family is Family.B0:
+        return ((a, [0]) for a in range(-a_max, a_max + 1) if not _has_power(a, 4))
+    if family is Family.CONGRUENT:
         # height of y^2 = x^3 - D^2 x is 4^(1/6) D
         d_max = int(mp.floor(mp.mpf(T) * mp.mpf(4) ** (mp.mpf(-1) / 6)))
         while naive_height(-((d_max + 1) ** 2), 0) <= T:
             d_max += 1
-        for d in range(1, d_max + 1):
-            if _squarefree_positive(d):
-                yield CurveModel(-d * d, 0)
-    else:
-        raise ValueError(family)
+        return ((-d * d, [0]) for d in range(1, d_max + 1) if _squarefree_positive(d))
+    raise ValueError(family)
+
+
+def _universal_rows(a_max: int, b_max: int) -> Iterator[tuple[int, list[int]]]:
+    """The quasiminimal nonsingular (a, b) with |a| <= a_max, |b| <= b_max, by rows."""
+    for a in range(-a_max, a_max + 1):
+        # 4a^3 + 27b^2 = 0 exactly at a = -3k^2, b = +-2k^3
+        k = math.isqrt(-a // 3) if a <= 0 else 0
+        singular = {2 * k**3, -2 * k**3} if 3 * k * k == -a else set()
+        row: list[int] = []
+        for lo in range(-b_max, b_max + 1, _ROW_CHUNK):
+            b = np.arange(lo, min(lo + _ROW_CHUNK, b_max + 1), dtype=np.int64)
+            g = np.gcd(a, b)
+            # gcd < 16 has no fourth-power divisor: only the rest need factoring
+            keep = g < 16
+            for i in np.flatnonzero(~keep).tolist():
+                keep[i] = _quasiminimal(a, lo + i)
+            for s in singular:
+                if lo <= s < lo + len(b):
+                    keep[s - lo] = False
+            row += b[keep].tolist()
+        yield a, row
 
 
 def _is_square(n: int) -> bool:

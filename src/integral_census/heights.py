@@ -1,4 +1,4 @@
-"""Weil and canonical heights, local decomposition, pairings, real period.
+"""Weil and canonical heights, local decomposition, pairings.
 
 Normalization: the canonical height is the x-coordinate limit
 h(x(2^n P)) / 4^n, so h_hat(2P) = 4 h_hat(P) and h_hat is about h(x(P))
@@ -39,7 +39,6 @@ __all__ = [
     "canonical_height",
     "height_pairing",
     "height_gap_report",
-    "real_period",
     "global_difference_bound",
 ]
 
@@ -431,56 +430,3 @@ def _height_gap(curve: CurveModel, p: CurvePoint, prof: HeightProfile) -> dict:
     lhs = prof.canonical - h
     return {"lhs": lhs, "model": float(model), "residual": lhs - float(model)}
 
-
-# ---------------------------------------------------------------------------
-# real period
-
-
-def real_period(curve: CurveModel) -> float:
-    """omega_1 = 2 int_rho^inf dx / sqrt(x^3 + Ax + B), two ways that must
-    agree to a relative 1e-12."""
-    if curve.disc() == 0:
-        raise ValueError("singular cubic")
-    with mp.workdps(32):  # 20 guard digits past the 12 that must agree
-        agm_val = _period_agm(curve)
-        quad_val = _period_quad(curve)
-        if abs(agm_val - quad_val) > 1e-12 * max(1, abs(agm_val)):
-            raise PrecisionError("period routes disagree beyond goal")
-        return float(agm_val)
-
-
-def _roots(curve: CurveModel):
-    return mp.polyroots([1, 0, curve.a, curve.b], maxsteps=200, extraprec=80)
-
-
-def _period_agm(curve: CurveModel):
-    roots = _roots(curve)
-    reals = [r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-mp.mp.dps // 2)]
-    if len(reals) == 3:
-        e1, e2, e3 = sorted(reals)
-        return 2 * mp.pi / mp.agm(mp.sqrt(e3 - e1), mp.sqrt(e3 - e2))
-    rho = max(reals)
-    cplx = [r for r in roots if abs(r.imag) >= mp.mpf(10) ** (-mp.mp.dps // 2)]
-    u, v = cplx[0].real, abs(cplx[0].imag)
-    big_a = mp.sqrt((rho - u) ** 2 + v * v)
-    ksq = (big_a - (rho - u)) / (2 * big_a)
-    k = mp.sqrt(ksq)
-    kp = mp.sqrt(1 - ksq)
-    K = mp.pi / (2 * mp.agm(1, kp))
-    return 2 * (2 / mp.sqrt(big_a)) * K
-
-
-def _period_quad(curve: CurveModel):
-    roots = _roots(curve)
-    reals = sorted(r.real for r in roots if abs(r.imag) < mp.mpf(10) ** (-mp.mp.dps // 2))
-    rho = reals[-1]
-    a, b = curve.a, curve.b
-    # synthetic division: x^3 + a x + b = (x - rho)(x^2 + beta x + gamma)
-    beta = rho
-    gamma = rho * rho + a
-
-    def f(t):
-        x = rho + t * t
-        return 2 / mp.sqrt(x * x + beta * x + gamma)
-
-    return 2 * mp.quad(f, [0, 1, 10, mp.inf])

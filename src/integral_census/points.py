@@ -3,11 +3,11 @@
 Every integral point comes from the exact x-scan of ``_scan``: a numpy
 quadratic-residue sieve discards almost every x, and big-int
 ``math.isqrt`` confirms the rest, at any magnitude.  ``integral_points``
-scans one curve over |x| <= x_bound.  ``small_point_statistics`` scans the
-whole family over |x| <= T^exponent in one call.  The window's width alone
-decides how the sieve runs: a window under ``_scan._SMALL_SPAN`` x-values
-is sieved as (curve, x) blocks over many curves, a wider one curve by
-curve.  The confirm step is the same either way.
+scans one curve over |x| <= x_bound, always tiled one curve at a time.
+``small_point_statistics`` scans the whole family over |x| <= T^exponent
+in one call, sieved as (curve, x) blocks when the window is under
+``_scan._SMALL_SPAN`` x-values and curve by curve otherwise.  The confirm
+step is the same either way.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _scan
-from .families import CurveModel, Family, enumerate_family
+from .families import CurveModel, Family, _member_rows, enumerate_family
 
 __all__ = [
     "Identity",
@@ -151,10 +151,11 @@ def small_point_statistics(family: Family, T: float, exponent: float) -> dict:
     if not 0 <= exponent <= 6:
         raise ValueError("exponent must lie in [0, 6]")
     x_cut = max(1, int(float(T) ** exponent))
-    a, b = [], []
-    for c in enumerate_family(family, T):
-        a.append(c.a)
-        b.append(c.b)
+    a: list[int] = []
+    b: list[int] = []
+    for row_a, row_b in _member_rows(family, T):
+        a += [row_a] * len(row_b)
+        b += row_b
     # one scan for the whole family; (x, y) with y != 0 counts with (x, -y)
     triple_count = sum(2 if y else 1 for _, _, y in _scan.scan_curves(a, b, -x_cut, x_cut))
     size = len(a)

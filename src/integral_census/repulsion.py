@@ -11,7 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .families import CurveModel, Family, enumerate_family, filter_diagnostics
+from .families import (
+    CurveModel,
+    Family,
+    _cutoffs,
+    _member_rows,
+    enumerate_family,
+    filter_diagnostics,
+)
 from .heights import height_pairing, weil_height
 from .points import CurvePoint, integral_points
 
@@ -69,7 +76,20 @@ def repulsion_survey(
     (1/2) max(sqrt(h_P/h_R), sqrt(h_R/h_P)); pairs where an angle is
     undefined (tiny canonical height) are counted separately.
     """
-    curves = list(enumerate_family(family, T))
+    if restrict_filtered:
+        if not 0 < delta < 1:
+            raise ValueError("delta must lie in (0, 1)")
+        # a row with |a| < a_min fails a_big: no curve of it passes the filter
+        a_min = _cutoffs(T, delta)[0]
+        curve_count = 0
+        curves = []
+        for a, bs in _member_rows(family, T):
+            curve_count += len(bs)
+            if abs(a) >= a_min:
+                curves += [CurveModel(a, b) for b in bs]
+    else:
+        curves = list(enumerate_family(family, T))
+        curve_count = len(curves)
     max_excess = None
     pair_count = 0
     undefined_angle = 0
@@ -123,7 +143,7 @@ def repulsion_survey(
         "x_bound": x_bound,
         "min_height": min_height,
         "restricted": restrict_filtered,
-        "curve_count": len(curves),
+        "curve_count": curve_count,
         "pair_count": pair_count,
         "max_excess": max_excess,
         "undefined_angle_pairs": undefined_angle,

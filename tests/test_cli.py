@@ -117,6 +117,20 @@ def test_bad_T_exits_1(argv, T, capsys):
     assert "--T required" in err if T is None else "--T must be finite and >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--family", "universal", "--x-bound", "10"],
+        ["small-points", "--family", "universal"],
+        ["gap-survey", "--family", "universal", "--x-bound", "10", "--restrict-filtered"],
+    ],
+)
+def test_T_past_int64_rows_exits_1(argv, capsys):
+    status, doc = run(argv + ["--T", "1e7"])
+    assert status == 1 and doc is None
+    assert "does not fit int64" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     status, doc = run(["optimize", "--config", str(tmp_path / "absent.cfg")])
     assert status == 1 and doc is None

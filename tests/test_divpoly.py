@@ -5,10 +5,8 @@ import pytest
 
 from integral_census import divpoly
 from integral_census.divpoly import (
-    denominator_of_multiple,
     multiply_point,
     psi,
-    psi_value,
     triple_root_identity_check,
     verify_coeff_growth,
 )
@@ -103,6 +101,11 @@ def test_weighted_homogeneity_and_leading_coeff(n):
         assert poly.x_degree() == expected
 
 
+def psi_value(curve: CurveModel, p: CurvePoint, n: int) -> Fraction:
+    """psi_n at an affine point, exact: the recursion multiply_point uses."""
+    return divpoly._psi_val(n, p.x, p.y, curve.a, curve.b, {})
+
+
 @pytest.mark.parametrize("n", [17, 24, 31, 32])
 def test_homogeneity_numeric_scaling(n):
     # psi_n(l^2 a, l^3 b; l x, l^(3/2) y) = l^((n^2-1)/2) psi_n(a, b; x, y);
@@ -153,19 +156,10 @@ def test_multiply_point_torsion():
     assert multiply_point(curve, p, 6) == Identity
     assert psi_value(curve, p, 6) == 0
     assert psi_value(curve, p, 5) != 0
-    assert denominator_of_multiple(curve, p, 6) is None
     # 2-torsion short-circuit
     t = CurvePoint.affine(-1, 0)
     assert multiply_point(curve, t, 2) == Identity
     assert multiply_point(curve, t, 3) == t
-
-
-def test_denominator_of_multiple_grows():
-    curve = CurveModel(0, -2)
-    p = CurvePoint.affine(3, 5)
-    dens = [denominator_of_multiple(curve, p, n) for n in (1, 2, 3, 4)]
-    assert dens[0] == 1
-    assert dens[1] < dens[2] < dens[3]
 
 
 def test_coeff_growth_envelope():

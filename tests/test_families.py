@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -107,6 +109,50 @@ def test_enumerate_rejects_bad_T():
 def test_enumerate_rejects_non_finite_T(family, T):
     with pytest.raises(ValueError, match="T must be finite"):
         next(enumerate_family(family, T))
+
+
+def _brute_force_members(family: Family, T: float) -> list[CurveModel]:
+    """is_family_member over the whole box of naive height <= T, with the
+    height compared exactly, in enumeration order."""
+    t6 = Fraction(T) ** 6
+    out = [
+        CurveModel(a, b)
+        for a in range(-math.ceil(T**2), math.ceil(T**2) + 1)
+        if 4 * abs(a) ** 3 <= t6
+        for b in range(-math.ceil(T**3), math.ceil(T**3) + 1)
+        if 27 * b * b <= t6 and is_family_member(CurveModel(a, b), family)
+    ]
+    # the congruent family runs by ascending D, one curve per a
+    return out[::-1] if family is Family.CONGRUENT else out
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("T", [1, 2.5, 4, 7.3])
+def test_enumerate_equals_brute_force_walk(family, T):
+    assert list(enumerate_family(family, T)) == _brute_force_members(family, T)
+
+
+def test_enumerate_pins_singular_and_non_quasiminimal_cells():
+    curves = set(enumerate_family(Family.UNIVERSAL, 7))
+    # 4a^3 + 27b^2 = 0 at a = -3k^2, b = +-2k^3; their row neighbours stay
+    for a, b in [(-3, 2), (-3, -2), (-12, 16), (-12, -16)]:
+        assert CurveModel(a, b) not in curves
+        assert CurveModel(a, b + 1) in curves
+    # gcd(a, b) = 32 and 16: 2^4 | a with 2^6 | b is excluded, 2^5 || b is not
+    assert CurveModel(16, 64) not in curves
+    assert CurveModel(16, 32) in curves
+
+
+def test_enumerate_rejects_a_b_range_past_int64():
+    # T = 1e7 puts |b| up to about 1.9e20; no row of that length is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="does not fit int64"):
+            next(enumerate_family(Family.UNIVERSAL, 1e7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_filter_diagnostics_flags():

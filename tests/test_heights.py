@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 import sympy
@@ -15,7 +14,6 @@ from integral_census.heights import (
     global_difference_bound,
     height_gap_report,
     height_pairing,
-    real_period,
     weil_height,
 )
 from integral_census.points import CurvePoint, add, integral_points, negate
@@ -249,19 +247,3 @@ def test_precision_goal_validation():
         canonical_height(CurveModel(0, -2), CurvePoint.affine(3, 5), 1.0)
     with pytest.raises(ValueError):
         canonical_height(CurveModel(0, -2), CurvePoint.affine(2, 2), 1e-10)
-
-
-def test_real_period_lemniscatic_closed_form():
-    # y^2 = x^3 - x: omega_1 = B(1/4, 1/2) = Gamma(1/4) Gamma(1/2) / Gamma(3/4)
-    expected = float(mp.gamma(0.25) * mp.gamma(0.5) / mp.gamma(0.75))
-    assert real_period(CurveModel(-1, 0)) == pytest.approx(expected, rel=1e-10)
-
-
-def test_real_period_one_real_root():
-    # y^2 = x^3 + 1 has one real root; check scaling under (x, y) -> (4x, 8y):
-    # y^2 = x^3 + 64 has period halved
-    w1 = real_period(CurveModel(0, 1))
-    w2 = real_period(CurveModel(0, 64))
-    assert w1 == pytest.approx(2 * w2, rel=1e-9)
-    with pytest.raises(ValueError):
-        real_period(CurveModel(-3, 2))

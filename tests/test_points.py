@@ -83,6 +83,17 @@ def test_scan_backends_agree():
             assert y >= 0 and y * y == x**3 + a * x + b
 
 
+@pytest.mark.parametrize("span", [1, 45, _scan._SMALL_SPAN - 1])
+def test_lone_curve_is_tiled_on_a_short_window(span, monkeypatch):
+    # a lone curve is tiled whatever the width; only several curves share a block
+    monkeypatch.setattr(_scan, "_block_candidates", None)
+    for a, b in [(0, -2), (-2, 5), (1, 6), (-7, 10), (0, 17), (-1, 0), (-17, 10**20)]:
+        for x_lo in (-span // 2, 3 - span, 10**19):
+            x_hi = x_lo + span - 1
+            assert _scan.scan_range(a, b, x_lo, x_hi) == _scan_py.scan_range(a, b, x_lo, x_hi)
+    assert integral_points(CurveModel(0, -2), 100) == [(3, -5), (3, 5)]
+
+
 def test_scan_big_integers():
     # far beyond int64: x near 10^8 makes x^3 about 10^24
     x = 10**8 + 7

@@ -134,3 +134,55 @@ def test_memo_does_not_change_pair_stats(survey, monkeypatch):
     assert len(seen) == res["pair_count"] > 0
     for args, stat in seen:
         assert stat == original(*args)  # every field, exactly
+
+
+def test_restricted_survey_equals_a_per_curve_filter_walk(monkeypatch):
+    from integral_census import repulsion
+    from integral_census.families import _cutoffs, enumerate_family, filter_diagnostics
+    from integral_census.points import integral_points
+
+    # rows with 9 <= |a| <= 40 survive the prune, and x_bound is above the
+    # filter window |x| <= T^(5 - delta) = 4182, so a passing curve may have pairs
+    T, delta, x_bound = 8, 0.99, 10_000
+    assert _cutoffs(T, delta)[0] == 9 and _cutoffs(T, delta)[5] < x_bound
+    curves = list(enumerate_family(Family.UNIVERSAL, T))
+    passing = [
+        c
+        for c in curves
+        if filter_diagnostics(c, T, delta, x_bound_cap=x_bound, lazy=True).passes_all
+    ]
+    found = {c: integral_points(c, x_bound) for c in passing}
+    pairs = [
+        (c, p, r)
+        for c, pts in found.items()
+        for i, p in enumerate(pts)
+        for r in pts[i + 1 :]
+        if p[0] != r[0]
+    ]
+    # (19, -97) passes and carries (9062, +-y), one x: no pair in this slice
+    assert len(passing) > 1000 and found[CurveModel(19, -97)] and pairs == []
+    scanned = []
+    monkeypatch.setattr(
+        repulsion, "integral_points", lambda c, xb: scanned.append(c) or integral_points(c, xb)
+    )
+    res = repulsion_survey(Family.UNIVERSAL, T, x_bound, delta=delta, restrict_filtered=True)
+    assert scanned == passing
+    assert res == {
+        "family": "universal",
+        "T": T,
+        "x_bound": x_bound,
+        "min_height": 0.0,
+        "restricted": True,
+        "curve_count": len(curves),
+        "pair_count": 0,
+        "max_excess": None,
+        "undefined_angle_pairs": 0,
+        "cos_histogram": {"bins": [], "counts": [], "total": 0},
+        "worst_pairs": [],
+    }
+
+
+def test_restricted_survey_checks_delta_with_every_row_pruned():
+    # the prune runs before any filter_diagnostics call, which used to reject delta
+    with pytest.raises(ValueError, match="delta"):
+        repulsion_survey(Family.UNIVERSAL, 8, 100, delta=1.5, restrict_filtered=True)
