@@ -368,13 +368,17 @@ def enumerate_family(family: Family, T: float) -> Iterator[CurveModel]:
 _ROW_CHUNK = 1 << 16
 
 
+def _check_T(T: float) -> None:
+    if not (math.isfinite(T) and T >= 1):
+        raise ValueError(f"T must be finite and >= 1, got {T!r}")
+
+
 def _member_rows(family: Family, T: float) -> Iterator[tuple[int, list[int]]]:
     """The family members of naive height <= T as rows (a, [b, ...]): each
     a once, its b ascending, in the order of enumerate_family.  T is
     checked here, before the first row is asked for.
     """
-    if not (math.isfinite(T) and T >= 1):
-        raise ValueError(f"T must be finite and >= 1, got {T!r}")
+    _check_T(T)
     a_max, b_max = _coeff_bounds(T)
     if family is Family.UNIVERSAL:
         if b_max >= np.iinfo(np.int64).max:

@@ -12,6 +12,15 @@ and proportion floors, with a geometric tail envelope above r_max.
 parameter vector, not once per rank, and the code bounds are memoized by (r, theta) in
 ``codes.best_code_bound``, so parameter vectors that share a J share
 their LP solves.
+
+``optimize`` prunes: the worst-case LP's feasible set depends on the model
+alone, so the incumbent's optimal distribution p* is feasible for every
+trial, and density * sum_r p*_r b_r(trial) is at most the trial's
+aggregate.  A trial whose bound exceeds the incumbent's aggregate by more
+than 1e-6 (1 + |aggregate|) could never be accepted, and is skipped after
+its constraint check and the code bounds of the ranks with p*_r > 0 (0..3
+at the reference point), before its other LPs.  Within one search the
+worst-case LP is also memoized on its input vector (b_0 .. b_20).
 """
 
 from __future__ import annotations
@@ -113,6 +122,9 @@ class BoundReport:
     r_max: int
     comparison: float = REPORTED_COMPARISON_BOUND
     aggregate_exact: Fraction | None = None
+    # (rank, p) with p > 0 for the distribution that attains the aggregate:
+    # the worst-case LP optimum, or the explicit probabilities
+    worst_case: tuple[tuple[int, float], ...] = ()
 
 
 def d_tilde(D):
@@ -228,16 +240,27 @@ def aggregate_bound(
     return report
 
 
-def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundReport | None:
+def _feasible_aggregate(
+    model: RankModel,
+    params: OptimizerParams,
+    incumbent: BoundReport | None = None,
+    lp_memo: dict | None = None,
+) -> BoundReport | None:
     """aggregate_bound, or None if the parameters fail the feasibility
-    constraints; checks them once.  An unknown floor or an infeasible
-    floor/cap combination still raises ValueError."""
+    constraints or, given an incumbent, provably aggregate above it; checks
+    the constraints once.  lp_memo maps (b_0 .. b_R_LP) to a worst-case LP
+    result.  An unknown floor or an infeasible floor/cap combination still
+    raises ValueError."""
     if unknown := sorted(set(model.floors) - set(_FLOOR_RANKS)):
         raise ValueError(f"unknown floors {unknown}, expected some of {list(_FLOOR_RANKS)}")
     constraints = _feasible_constraints(params)
     if constraints is None:
         return None
     dt = float(d_tilde(params.D))
+    if incumbent is not None and _lower_bound(
+        model, params, dt, incumbent.worst_case
+    ) > incumbent.aggregate + _PRUNE_SLACK * (1 + abs(incumbent.aggregate)):
+        return None
     per_rank = {r: _rank_bound(r, params, dt) for r in range(0, _R_MAX + 1)}
     tail = _tail_bound(params, dt, model)
     if model.kind == "explicit":
@@ -245,6 +268,7 @@ def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundRepor
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError("explicit probabilities must sum to 1")
+        worst_case = tuple((r, p) for r, p in sorted(probs.items()) if p > 0)
         # rank 0 and 1 bounds are exact small integers; keep the common
         # minimalist-style models exact in rational arithmetic
         exact = None
@@ -261,13 +285,30 @@ def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundRepor
             agg = float(model.density) * sum(
                 p * per_rank[r] for r, p in probs.items()
             )
-        return BoundReport(per_rank, agg, constraints, params, 0.0, _R_MAX, aggregate_exact=exact)
-    # worst-case LP over distributions on {0.._R_LP}; ranks above _R_LP are
-    # covered by the tail envelope (their probabilities are forced below
-    # cap/base^r, and base^r overflows the LP solver's coefficient range)
-    n = _R_LP + 1
-    b = np.array([per_rank[r] for r in range(n)])
-    # maximize b.p  ==  minimize -b.p
+        return BoundReport(
+            per_rank, agg, constraints, params, 0.0, _R_MAX,
+            aggregate_exact=exact, worst_case=worst_case,
+        )
+    b = tuple(per_rank[r] for r in range(_R_LP + 1))
+    memo = {} if lp_memo is None else lp_memo
+    if b not in memo:
+        memo[b] = _worst_case_lp(model, b)
+    value, worst_case = memo[b]
+    agg = float(model.density) * value + tail
+    return BoundReport(per_rank, agg, constraints, params, tail, _R_MAX, worst_case=worst_case)
+
+
+def _worst_case_lp(
+    model: RankModel, b: tuple[float, ...]
+) -> tuple[float, tuple[tuple[int, float], ...]]:
+    """max b.p over the model's distributions p on {0.._R_LP}, and the
+    (rank, p) pairs with p > 0 of the optimum.
+
+    Ranks above _R_LP are covered by the tail envelope (their probabilities
+    are forced below cap/base^r, and base^r overflows the LP solver's
+    coefficient range).  The feasible set depends on the model alone.
+    """
+    n = len(b)
     a_ub, b_ub = [], []
     for base, cap in model.moment_caps:
         a_ub.append([float(base) ** r for r in range(n)])
@@ -279,8 +320,9 @@ def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundRepor
                 row[r] = -1.0
             a_ub.append(row)
             b_ub.append(-model.floors[key])
+    # maximize b.p  ==  minimize -b.p
     res = linprog(
-        -b,
+        -np.array(b),
         A_ub=np.array(a_ub),
         b_ub=np.array(b_ub),
         A_eq=np.ones((1, n)),
@@ -289,8 +331,28 @@ def _feasible_aggregate(model: RankModel, params: OptimizerParams) -> BoundRepor
     )
     if not res.success:
         raise ValueError(f"infeasible floor/cap combination: {res.message}")
-    agg = float(model.density) * float(-res.fun) + tail
-    return BoundReport(per_rank, agg, constraints, params, tail, _R_MAX)
+    return float(-res.fun), tuple((r, float(p)) for r, p in enumerate(res.x) if p > 0)
+
+
+# p* meets the LP constraints only to the solver's tolerance, so its bound
+# may pass a trial's computed optimum by about that much
+_PRUNE_SLACK = 1e-6
+
+
+def _lower_bound(
+    model: RankModel,
+    params: OptimizerParams,
+    dt: float,
+    worst_case: tuple[tuple[int, float], ...],
+) -> float:
+    """density * sum_r p_r b_r(params) over another vector's worst case p.
+
+    p is feasible for every parameter vector, since the LP constraints
+    depend on the model alone, and every b_r and the tail are >= 0; so
+    this is at most the aggregate at params.  It needs the code bounds of
+    the ranks in p alone.
+    """
+    return float(model.density) * sum(p * _rank_bound(r, params, dt) for r, p in worst_case)
 
 
 def optimize(
@@ -317,8 +379,9 @@ def optimize(
     best = None
     best_key = None
     evaluated = []
+    lp_memo: dict = {}
     for params in candidates:
-        report = _feasible_aggregate(model, params)
+        report = _feasible_aggregate(model, params, best, lp_memo)
         if report is None:
             continue
         evaluated.append(report.aggregate)
@@ -327,13 +390,13 @@ def optimize(
             best, best_key = report, key
     if best is None:
         raise ValueError("no feasible point in grid")
-    best = _refine(model, best, refine_iters)
+    best = _refine(model, best, refine_iters, lp_memo)
     if evaluated and best.aggregate > min(evaluated) + 1e-12:
         raise AssertionError("refinement must not lose to an evaluated grid point")
     return best
 
 
-def _refine(model: RankModel, report: BoundReport, iters: int) -> BoundReport:
+def _refine(model: RankModel, report: BoundReport, iters: int, lp_memo: dict) -> BoundReport:
     steps = {"c": 0.0005, "D": 50.0, "J_default": 0.02}
     best = report
     for _ in range(iters):
@@ -348,7 +411,7 @@ def _refine(model: RankModel, report: BoundReport, iters: int) -> BoundReport:
                 setattr(trial, attr, getattr(p, attr) + sign * step)
                 if not (0 < trial.c < 1 and trial.D > 1 and 1 < trial.J_default < 2):
                     continue
-                cand = _feasible_aggregate(model, trial)
+                cand = _feasible_aggregate(model, trial, best, lp_memo)
                 if cand is not None and cand.aggregate < best.aggregate - 1e-12:
                     best = cand
                     improved = True

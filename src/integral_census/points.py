@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import _scan
-from .families import CurveModel, Family, _member_rows, enumerate_family
+from .families import CurveModel, Family, _check_T, _member_rows, enumerate_family
 
 __all__ = [
     "Identity",
@@ -150,6 +150,7 @@ def small_point_statistics(family: Family, T: float, exponent: float) -> dict:
     """Count (x, y, curve) triples with |x| <= T^exponent over the family."""
     if not 0 <= exponent <= 6:
         raise ValueError("exponent must lie in [0, 6]")
+    _check_T(T)
     x_cut = max(1, int(float(T) ** exponent))
     a: list[int] = []
     b: list[int] = []

@@ -143,6 +143,74 @@ def test_optimize_checks_each_vector_once(monkeypatch):
     assert len({id(args[0]) for args in checked}) == len(checked)
 
 
+# the bound workload's seed-0 grid, and two copies with the non-reference
+# values moved by hand
+_SEARCH_GRIDS = [
+    {"c": [0.998114, 0.9995], "D": [612.117, 1200.0], "s": [3], "J": [1.2, 1.3]},
+    {"c": [0.998114, 0.99932], "D": [612.117, 1164.3], "s": [3], "J": [1.2, 1.2871]},
+    {"c": [0.998114, 0.99918], "D": [612.117, 1241.8], "s": [3], "J": [1.2, 1.3143]},
+]
+
+
+def _no_pruning(monkeypatch):
+    monkeypatch.setattr(optimizer, "_lower_bound", lambda *args: -math.inf)
+
+
+@pytest.mark.parametrize("grid", _SEARCH_GRIDS)
+def test_pruning_keeps_the_search_result(grid, monkeypatch):
+    model = RankModel.moments()
+    solves = _counting(monkeypatch, optimizer, "linprog")
+    pruned = optimize(model, grid, refine_iters=2)
+    pruned_solves = len(solves)
+    _no_pruning(monkeypatch)
+    assert pruned == optimize(model, grid, refine_iters=2)
+    assert 0 < pruned_solves < len(solves) - pruned_solves
+
+
+def test_pruning_counts_on_the_bound_grid(monkeypatch):
+    # the bound workload: the reference point, then the search, on a cold memo
+    def solves():
+        monkeypatch.setattr(codes, "_BEST", {})
+        lps = _counting(monkeypatch, codes, "lp_bound")
+        aggregate_lps = _counting(monkeypatch, optimizer, "linprog")
+        aggregate_bound(RankModel.moments())
+        optimize(RankModel.moments(), _SEARCH_GRIDS[0], refine_iters=2)
+        monkeypatch.undo()
+        return len(lps), len(aggregate_lps)
+
+    assert solves() == (57, 5)
+    _no_pruning(monkeypatch)
+    assert solves() == (70, 8)
+
+
+def test_pruning_on_the_default_grid_is_sound(monkeypatch):
+    model = RankModel.moments()
+    solves = _counting(monkeypatch, optimizer, "linprog")
+    pruned = optimize(model)
+    pruned_solves = len(solves)
+    assert pruned.aggregate == 68.51622423555939
+    # every trial evaluated in full, with its bound against the incumbent
+    lower_bound, feasible_aggregate = optimizer._lower_bound, optimizer._feasible_aggregate
+    trials = []
+
+    def recorded(model, params, incumbent=None, lp_memo=None):
+        report = feasible_aggregate(model, params, incumbent, lp_memo)
+        if incumbent is not None and report is not None:
+            dt = float(d_tilde(params.D))
+            lb = lower_bound(model, params, dt, incumbent.worst_case)
+            trials.append((lb, report.aggregate, incumbent.aggregate))
+        return report
+
+    monkeypatch.setattr(optimizer, "_feasible_aggregate", recorded)
+    _no_pruning(monkeypatch)
+    assert pruned == optimize(model)
+    assert 0 < pruned_solves < len(solves) - pruned_solves
+    assert all(lb <= aggregate for lb, aggregate, _ in trials)
+    slack = optimizer._PRUNE_SLACK
+    pruned_trials = [lb > best + slack * (1 + abs(best)) for lb, _, best in trials]
+    assert (sum(pruned_trials), len(trials)) == (69, 221)
+
+
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
         optimize(RankModel.moments(), {"c": [0.5], "D": [2.0], "s": [3], "J": [1.2]})

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -179,6 +180,12 @@ def test_small_point_statistics_scans_the_family_at_once(family, T, monkeypatch)
     assert want > 0
     assert (stats["triple_count"], stats["family_size"]) == (want, len(curves))
     assert calls == []
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.5])
+def test_small_point_statistics_rejects_bad_T(T):
+    with pytest.raises(ValueError, match="T must be finite and >= 1"):
+        small_point_statistics(Family.UNIVERSAL, T, 1.5)
 
 
 def test_integral_points_fermat():
