@@ -8,17 +8,21 @@ The archimedean local height comes from a telescoping series derived from
 the duplication relation lambda(2P) = 4 lambda(P) - 2 log|2y(P)|.
 
 Each non-archimedean local height is q log p with q an exact rational.
-Where v_p(Delta) < 12 the model is minimal at p, and q comes in closed
-form from v_p(x), v_p(3x^2 + a), v_p(2y), v_p(c4), v_p(Delta) and
-v_p(psi_3) (Silverman, "Computing heights on elliptic curves", Math. Comp.
-51, 1988, Thm 5.2; Cohen, GTM 138, Alg. 7.5.7).  Where v_p(Delta) >= 12
-the model may not be minimal at p, and the formula may be wrong there, so
-q is computed by the ladder instead: double the point in capped-precision
-p-adic arithmetic, record the valuations c_j = v_p(2 y_j), detect the
-eventually affine-periodic pattern, and sum the telescoping series in
-closed form.  The ladder assumes no minimality: the bounded solution of
-the local duplication identity is unique, which is what the series
-computes.  It is also the oracle the tests hold the formula to.
+Write x = m/e^2, y = n/e^3 and g = gcd(2n, 3m^2 + a e^4).  At p | e,
+q = 2 v_p(e).  At p dividing neither e nor g, P is p-integral and reduces
+to a nonsingular point, so q = 0 on any integral model (Silverman, AEC II,
+Thm VI.4.1); Delta is never factored.  At p | g, where v_p(Delta) < 12
+the model is minimal at p, and q comes in closed form from v_p(2y),
+v_p(c4), v_p(Delta) and v_p(psi_3) (Silverman, "Computing heights on
+elliptic curves", Math. Comp. 51, 1988, Thm 5.2; Cohen, GTM 138,
+Alg. 7.5.7).  Where v_p(Delta) >= 12 the model may not be minimal at p,
+and the formula may be wrong there, so q is computed by the ladder
+instead: double the point in capped-precision p-adic arithmetic, record
+the valuations c_j = v_p(2 y_j), detect the eventually affine-periodic
+pattern, and sum the telescoping series in closed form.  The ladder
+assumes no minimality: the bounded solution of the local duplication
+identity is unique, which is what the series computes.  It is also the
+oracle the tests hold to the formula and to q = 0 off e and g.
 """
 
 from __future__ import annotations
@@ -286,8 +290,8 @@ def _v(q: Fraction, p: int) -> float:
 
 
 def _lambda_p_formula(curve: CurveModel, p: int, pt: CurvePoint) -> Fraction | None:
-    """The coefficient q of _lambda_p_exact in closed form, or None where
-    v_p(Delta) >= 12 and the model may not be minimal at p.
+    """The coefficient q of _lambda_p_exact at a prime p of g in closed form,
+    or None where v_p(Delta) >= 12 and the model may not be minimal at p.
 
     Silverman's z (normalized as half of this module's heights) is q / 2.
     """
@@ -297,15 +301,25 @@ def _lambda_p_formula(curve: CurveModel, p: int, pt: CurvePoint) -> Fraction | N
         return None
     x, y = pt.x, pt.y
     B = _v(2 * y, p)
-    if B <= 0 or _v(3 * x * x + a, p) <= 0:
-        # P reduces to a nonsingular point
-        return Fraction(max(0, -_v(x, p)))
     if a != 0 and (48 * a) % p:
         # v_p(c4) = 0 with c4 = -48a: multiplicative reduction
         M = min(Fraction(B), Fraction(N, 2))
         return -M * (N - M) / N
     C = _v(3 * x**4 + 6 * a * x**2 + 12 * b * x - a * a, p)
     return Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
+
+
+def _local_coefficients(curve: CurveModel, pt: CurvePoint) -> dict[int, Fraction]:
+    """{p: q} with local height q log p, over the primes of e and g only;
+    q is 0 at every other prime."""
+    e = math.isqrt(pt.x.denominator)
+    m, n = pt.x.numerator, pt.y.numerator
+    g = math.gcd(2 * n, 3 * m * m + curve.a * e**4)
+    out = {p: Fraction(2 * k) for p, k in _factorint(e).items()}
+    for p in _factorint(g):
+        q = _lambda_p_formula(curve, p, pt)
+        out[p] = _lambda_p_exact(curve, p, pt) if q is None else q
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,34 +351,18 @@ def canonical_height(
     if not 1e-14 <= precision_goal <= 1e-2:
         raise ValueError("precision_goal out of range")
     if (n := _torsion_order(curve, p)) is not None and n > 1:
-        return HeightProfile(
-            weil=weil_height(p),
-            canonical=0.0,
-            local={},
-            is_torsion=True,
-        )
+        return HeightProfile(weil_height(p), 0.0, is_torsion=True)
     dps = int(-mp.log10(mp.mpf(precision_goal))) + 35
     with mp.workdps(dps):
         x_real = mp.mpf(p.x.numerator) / mp.mpf(p.x.denominator)
         lam_inf = _lambda_inf(curve, x_real, mp.mpf(precision_goal))
         locals_out = {"infinity": float(lam_inf)}
         total = lam_inf
-        primes = {*_factorint(abs(curve.disc())), *_factorint(p.x.denominator)}
-        for q in sorted(primes):
-            coeff = _lambda_p_formula(curve, q, p)
-            if coeff is None:
-                coeff = _lambda_p_exact(curve, q, p)
-            if coeff:
-                val = coeff.numerator * mp.log(q) / coeff.denominator
-                locals_out[str(q)] = float(val)
-                total += val
-            else:
-                locals_out[str(q)] = 0.0
-        return HeightProfile(
-            weil=weil_height(p),
-            canonical=float(total),
-            local=locals_out,
-        )
+        for q, coeff in sorted(_local_coefficients(curve, p).items()):
+            val = coeff.numerator * mp.log(q) / coeff.denominator
+            locals_out[str(q)] = float(val)
+            total += val
+        return HeightProfile(weil_height(p), float(total), locals_out)
 
 
 def height_pairing(

@@ -73,7 +73,6 @@ class OptimizerParams:
     s: int
     J_by_rank: dict[int, float] = field(default_factory=dict)
     J_default: float = 1.2
-    appendix_c_variant: bool = False  # C = 5 Dtilde instead of 5 Dtilde^2
 
     def J(self, r: int) -> float:
         j = self.J_by_rank.get(r, self.J_default)
@@ -83,7 +82,7 @@ class OptimizerParams:
 
     def C(self):
         dt = d_tilde(self.D)
-        return 5 * dt if self.appendix_c_variant else 5 * dt * dt
+        return 5 * dt * dt
 
 
 REFERENCE_PARAMS = OptimizerParams(c=0.998114, D=612.117, s=3)
@@ -121,7 +120,6 @@ class BoundReport:
     tail_bound: float
     r_max: int
     comparison: float = REPORTED_COMPARISON_BOUND
-    aggregate_exact: Fraction | None = None
     # (rank, p) with p > 0 for the distribution that attains the aggregate:
     # the worst-case LP optimum, or the explicit probabilities
     worst_case: tuple[tuple[int, float], ...] = ()
@@ -269,25 +267,9 @@ def _feasible_aggregate(
         if abs(total - 1.0) > 1e-12:
             raise ValueError("explicit probabilities must sum to 1")
         worst_case = tuple((r, p) for r, p in sorted(probs.items()) if p > 0)
-        # rank 0 and 1 bounds are exact small integers; keep the common
-        # minimalist-style models exact in rational arithmetic
-        exact = None
-        if all(r in (0, 1) for r in probs) and all(
-            float(Fraction(p).limit_denominator(10**9)) == p for p in probs.values()
-        ):
-            acc = sum(
-                Fraction(p).limit_denominator(10**9) * (0 if r == 0 else 2)
-                for r, p in probs.items()
-            )
-            exact = model.density * acc
-            agg = float(exact)
-        else:
-            agg = float(model.density) * sum(
-                p * per_rank[r] for r, p in probs.items()
-            )
+        agg = float(model.density) * sum(p * per_rank[r] for r, p in probs.items())
         return BoundReport(
-            per_rank, agg, constraints, params, 0.0, _R_MAX,
-            aggregate_exact=exact, worst_case=worst_case,
+            per_rank, agg, constraints, params, 0.0, _R_MAX, worst_case=worst_case
         )
     b = tuple(per_rank[r] for r in range(_R_LP + 1))
     memo = {} if lp_memo is None else lp_memo

@@ -170,8 +170,10 @@ def test_heights_subcommand_computes_one_canonical_height(capsys, monkeypatch):
     monkeypatch.setattr(heights, "canonical_height", counting)
     status, doc, _ = _run(["heights", "--curve", "0,-2", "--point", "3,5"], capsys)
     assert status == 0 and len(calls) == 1
+    # e = 1 and g = gcd(10, 27) = 1: no prime has a nonzero local height
+    assert set(doc["results"]["locals"]) == {"infinity"}
     assert doc["content_hash"] == (
-        "d8324f80dc3de1b265b96f3a16a5193ecd12c1c3dec6a7528bc4be691cf4e35a"
+        "f9d7e8e188aaceb3310bab1d9d2f64806c8be14b2e1dcc9c72fff09db28596fe"
     )
 
 

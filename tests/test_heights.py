@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from fractions import Fraction
@@ -143,32 +144,95 @@ def test_canonical_height_frozen_values(ab, xy, goal, want, monkeypatch):
     assert bool(backward) == (abs(pt.x) < Fraction(1, 2))
 
 
-def _check_formula_against_ladder(curve, pt, seen_primes):
-    primes = set(sympy.factorint(abs(curve.disc()))) | set(
-        sympy.factorint(pt.x.denominator)
-    )
+def _check_coefficients_against_ladder(curve, pt, kinds):
+    """At every p | Delta e, the coefficient canonical_height uses (0 off the
+    primes of e and g) equals the p-adic ladder's; kinds counts each case."""
+    coeffs = heights._local_coefficients(curve, pt)
+    e = math.isqrt(pt.x.denominator)
+    primes = set(sympy.factorint(abs(curve.disc()))) | set(sympy.factorint(e))
+    assert set(coeffs) <= primes and all(coeffs.values()), (curve, pt, coeffs)
     for p in primes:
-        q = heights._lambda_p_formula(curve, p, pt)
-        if q is not None:
-            assert q == heights._lambda_p_exact(curve, p, pt), (curve, pt, p)
-            seen_primes.add(p)
+        assert coeffs.get(p, 0) == heights._lambda_p_exact(curve, p, pt), (curve, pt, p)
+        minimal = heights._vp(curve.disc(), p) < 12
+        if e % p == 0:
+            kinds["e"] += 1
+        elif p not in coeffs:
+            kinds["zero" if minimal else "zero, v_p(Delta) >= 12"] += 1
+        else:
+            kinds["g, formula" if minimal else "g, ladder"] += 1
+
+
+def _points_and_sums(curve, x_bound, per_point=2):
+    pts = [CurvePoint.affine(*q) for q in integral_points(curve, x_bound)]
+    for i, p in enumerate(pts):
+        for q in [p] + [add(curve, p, r) for r in pts[i + 1 : i + 1 + per_point]]:
+            if not q.is_identity and heights._torsion_order(curve, q) is None:
+                yield q
 
 
 def test_local_height_formula_matches_ladder():
-    """Closed-form lambda_p equals the p-adic ladder on the universal family
-    at T <= 3, at integral points and at sums of them, wherever the formula
-    applies (v_p(Delta) < 12)."""
-    seen_primes: set[int] = set()
+    """On the universal family at T <= 3, at integral points and at sums of
+    them, the ladder gives 0 at every p | Delta off e and g, 2 v_p(e) at the
+    primes of e and the closed form at the primes of g."""
+    kinds = collections.Counter()
     checked = 0
     for curve in enumerate_family(Family.UNIVERSAL, 3):
-        pts = [CurvePoint.affine(*q) for q in integral_points(curve, 300)]
-        for i, p in enumerate(pts):
-            for q in [p] + [add(curve, p, r) for r in pts[i + 1 : i + 3]]:
-                if not q.is_identity and heights._torsion_order(curve, q) is None:
-                    _check_formula_against_ladder(curve, q, seen_primes)
-                    checked += 1
+        for q in _points_and_sums(curve, 300):
+            _check_coefficients_against_ladder(curve, q, kinds)
+            checked += 1
     assert checked > 300
-    assert {2, 3} <= seen_primes
+    assert min(kinds[k] for k in ("e", "zero", "g, formula")) > 50, kinds
+
+
+@pytest.mark.parametrize("u", [2, 3, 6])
+def test_local_coefficients_match_ladder_on_rescaled_models(u):
+    """The same oracle on the (u^4 a, u^6 b) models, which are not minimal
+    at the primes of u; the ladder runs there whenever P is singular mod p."""
+    kinds = collections.Counter()
+    for curve in enumerate_family(Family.UNIVERSAL, 3):
+        scaled = CurveModel(u**4 * curve.a, u**6 * curve.b)
+        for q in _points_and_sums(curve, 100, per_point=1):
+            sq = CurvePoint(u * u * q.x, u**3 * q.y)
+            _check_coefficients_against_ladder(scaled, sq, kinds)
+    assert min(kinds[k] for k in ("e", "zero, v_p(Delta) >= 12", "g, ladder")) > 0, kinds
+
+
+def test_local_coefficients_when_3x2_plus_a_vanishes():
+    """On y^2 = x^3 - 3x + 11 at (1, 3), 3m^2 + a e^4 = 0, so g = gcd(2n, 0)
+    = 2|n| = 6.  The heights of P and its multiples are pinned to the values
+    computed when every prime of Delta = -2^4 3^5 13 was visited."""
+    curve, p = CurveModel(-3, 11), CurvePoint.affine(1, 3)
+    assert 3 * p.x**2 + curve.a == 0
+    assert heights._local_coefficients(curve, p) == {
+        2: Fraction(-1, 2), 3: Fraction(-2, 3)
+    }
+    want = [0.16766821465486972, 0.6706728586194799, 1.5090139318938318,
+            2.682691434477922, 4.191705366371734]
+    kinds = collections.Counter()
+    for k, h in enumerate(want, 1):
+        q = multiply_point(curve, p, k)
+        _check_coefficients_against_ladder(curve, q, kinds)
+        assert canonical_height(curve, q).canonical == h
+    assert kinds["zero"] >= 5  # 13 never contributes
+
+
+def test_canonical_height_never_factors_the_discriminant(monkeypatch):
+    """Delta = 2^10 5 7 p17 p21 (primes of 17 and 21 digits): factoring it
+    took 97 s on a 2-core VM, and the height needs only e = 1 and g = 8."""
+    curve = CurveModel(-885543525803, 25701395540311979882)
+    p = CurvePoint.affine(813653, 5051686260)
+    seen = []
+    original = heights._factorint
+
+    def recording(n):
+        seen.append(n)
+        return original(n)
+
+    monkeypatch.setattr(heights, "_factorint", recording)
+    prof = canonical_height(curve, p)
+    assert prof.canonical == 14.328718000947145
+    assert sorted(seen) == [1, 8]
+    assert set(prof.local) == {"infinity", "2"}
 
 
 # (a, b, point): the first two are curves where the formula, if it were

@@ -63,8 +63,7 @@ def test_per_rank_values():
 
 def test_minimalist_aggregate_exact():
     report = aggregate_bound(RankModel.minimalist())
-    assert report.aggregate_exact == Fraction(8, 9)
-    assert abs(report.aggregate - 8 / 9) < 1e-12
+    assert report.aggregate == float(Fraction(8, 9))
 
 
 def test_moments_aggregate_frozen():
@@ -214,12 +213,6 @@ def test_pruning_on_the_default_grid_is_sound(monkeypatch):
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
         optimize(RankModel.moments(), {"c": [0.5], "D": [2.0], "s": [3], "J": [1.2]})
-
-
-def test_appendix_c_variant_changes_constant():
-    base = OptimizerParams(c=0.998114, D=612.117, s=3)
-    var = OptimizerParams(c=0.998114, D=612.117, s=3, appendix_c_variant=True)
-    assert var.C() == pytest.approx(base.C() / float(d_tilde(612.117)), rel=1e-12)
 
 
 def _admissible_gram(rng, k):
