@@ -490,7 +490,7 @@ def _cmd_verify_identities(args) -> dict:
             for b in range(-bound, bound + 1)
         )
         curves = [c for c in grid if points.mod3_obstruction(c) and c.disc() != 0]
-        counts = [len(points.integral_points(c, x_bound)) for c in curves]
+        counts = [len(pts) for pts in points._points_per_curve(curves, x_bound)]
         results["mod3"] = {
             "curves_checked": len(curves),
             "all_empty": all(n == 0 for n in counts),

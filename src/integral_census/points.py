@@ -2,12 +2,13 @@
 
 Every integral point comes from the exact x-scan of ``_scan``: a numpy
 quadratic-residue sieve discards almost every x, and big-int
-``math.isqrt`` confirms the rest, at any magnitude.  ``integral_points``
-scans one curve over |x| <= x_bound, always tiled one curve at a time.
-``small_point_statistics`` scans the whole family over |x| <= T^exponent
-in one call, sieved as (curve, x) blocks when the window is under
-``_scan._SMALL_SPAN`` x-values and curve by curve otherwise.  The confirm
-step is the same either way.
+``math.isqrt`` confirms the rest, at any magnitude.  ``census`` scans its
+whole curve list over |x| <= x_bound in one ``scan_curves`` call, and
+``small_point_statistics`` the whole family over |x| <= T^exponent;
+``integral_points`` is the same scan over a list of one curve.  The scan
+sieves many curves per numpy pass either way: tiled on a window of
+``_scan._SMALL_SPAN`` x-values or more, and gathered as (curve, x) blocks
+on a shorter one.
 """
 
 from __future__ import annotations
@@ -108,14 +109,18 @@ def scan_backend_name() -> str:
 
 def integral_points(curve: CurveModel, x_bound: int) -> list[tuple[int, int]]:
     """All (x, y) in Z^2 on the curve with |x| <= x_bound, sorted by (x, y)."""
+    return _points_per_curve([curve], x_bound)[0]
+
+
+def _points_per_curve(curves: Sequence[CurveModel], x_bound: int) -> list[list[tuple[int, int]]]:
+    """integral_points(c, x_bound) for each c of curves, from one scan."""
     if x_bound < 1:
         raise ValueError("x_bound must be >= 1")
-    out: list[tuple[int, int]] = []
-    for x, y in _scan.scan_range(curve.a, curve.b, -x_bound, x_bound):
-        out.append((x, y))
-        if y != 0:
-            out.append((x, -y))
-    out.sort()
+    out: list[list[tuple[int, int]]] = [[] for _ in curves]
+    a, b = [c.a for c in curves], [c.b for c in curves]
+    # the scan gives each x once, ascending, with y >= 0: (x, -y) sorts before (x, y)
+    for i, x, y in _scan.scan_curves(a, b, -x_bound, x_bound):
+        out[i] += [(x, -y), (x, y)] if y else [(x, 0)]
     return out
 
 
@@ -138,10 +143,10 @@ def census(
         curves = list(enumerate_family(family, T))
     if not curves:
         raise ValueError("empty family slice")
-    rows = []
-    for curve in curves:
-        pts = integral_points(curve, x_bound)
-        rows.append(CensusRow(curve, len(pts), pts, x_bound))
+    rows = [
+        CensusRow(curve, len(pts), pts, x_bound)
+        for curve, pts in zip(curves, _points_per_curve(curves, x_bound))
+    ]
     total = sum(r.integral_count for r in rows)
     return CensusSummary(total, len(rows), total / len(rows), rows)
 

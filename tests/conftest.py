@@ -1,5 +1,10 @@
 """Shared test plumbing: collect acceptance verdict lines and print them
-in the terminal summary (fd-level capture would otherwise swallow them)."""
+in the terminal summary (fd-level capture would otherwise swallow them),
+and record the calls into the x-scan."""
+
+import pytest
+
+from integral_census import _scan
 
 verdict_lines: list[str] = []
 
@@ -9,3 +14,19 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance verdicts")
         for line in verdict_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """The names of the ``_scan.scan_curves`` and ``_scan.scan_range`` calls
+    made, in order; the scans still run."""
+    calls: list[str] = []
+    for name in ("scan_curves", "scan_range"):
+        original = getattr(_scan, name)
+
+        def recording(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(_scan, name, recording)
+    return calls

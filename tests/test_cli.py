@@ -386,6 +386,29 @@ def test_verify_identities_mod3_output_frozen(opts, capsys, monkeypatch):
     assert (doc["content_hash"], hashlib.sha256(out.encode()).hexdigest()) == _MOD3_FROZEN[opts]
 
 
+def test_verify_identities_mod3_scans_the_grid_at_once(capsys, scan_calls):
+    status, doc, _ = _run(
+        ["verify-identities", "--check", "mod3", "--coeff-bound", "8", "--x-bound", "500"], capsys
+    )
+    assert status == 0 and doc["results"]["mod3"]["curves_checked"] > 1
+    assert scan_calls == ["scan_curves"]
+
+
+# the census configs of the benchmark, with the content_hash it holds them to
+_CENSUS_FROZEN = {
+    ("--family", "universal", "--T", "4", "--x-bound", "3000"):
+        "b9dd1df4410e3b5ded81d7a1825dc3f695471bc5c23e6e731172ffc626f5b8c3",
+    ("--curve", "0,-2", "--x-bound", "2000000"):
+        "51e662f40b8f9e752955b8b9de682f1f44f248219825e4d93ca1380c5fcbb2e8",
+}
+
+
+@pytest.mark.parametrize("opts", sorted(_CENSUS_FROZEN))
+def test_census_output_frozen(opts, capsys):
+    status, doc, _ = _run(["census", *opts], capsys)
+    assert status == 0 and doc["content_hash"] == _CENSUS_FROZEN[opts]
+
+
 def test_divpoly_verify(capsys):
     status, doc, _ = _run(["divpoly-verify", "--n-max", "10"], capsys)
     assert status == 0

@@ -113,32 +113,42 @@ _SPANS = [
     _scan._CHUNK + 1,
 ]
 _COEFF = st.integers(min_value=-(10**30), max_value=10**30)
+# near 0 the Cauchy floor -max(|a|, |b|) of a curve lands inside the window, so
+# blocks of a few curves, mixed with huge ones, each cut the window at their own floor
+_SMALL_COEFF = st.one_of(st.integers(-12, 12), st.integers(-2000, 2000))
 
 
 @st.composite
 def _scan_cases(draw):
     """Curves that share one x-window, some with a planted point in it, and
     how many curves a block holds (None: as many as ``_CHUNK`` allows)."""
-    span = draw(st.sampled_from(_SPANS))
-    x_lo = draw(
-        st.one_of(
-            st.integers(min_value=-(10**6), max_value=10**6),
-            st.integers(min_value=10**19 - 10**6, max_value=10**19 + 10**6),
-            st.integers(min_value=-(10**19) - 10**6, max_value=-(10**19) + 10**6),
+    if draw(st.booleans()):
+        span = draw(st.sampled_from([s for s in _SPANS if s >= _scan._SMALL_SPAN]))
+        x_lo = draw(st.integers(-3000, 3000))
+        coeff = st.one_of(_SMALL_COEFF, _COEFF)
+        per_block = st.integers(1, 8)
+    else:
+        span = draw(st.sampled_from(_SPANS))
+        x_lo = draw(
+            st.one_of(
+                st.integers(min_value=-(10**6), max_value=10**6),
+                st.integers(min_value=10**19 - 10**6, max_value=10**19 + 10**6),
+                st.integers(min_value=-(10**19) - 10**6, max_value=-(10**19) + 10**6),
+            )
         )
-    )
+        coeff = _COEFF
+        per_block = st.one_of(st.none(), st.integers(1, 8))
     # the reference scan takes one Python step per x-value: few curves on long windows
     count = draw(st.integers(0, 40 if span < _scan._CHUNK // 2 else 2))
-    a = draw(st.lists(_COEFF, min_size=count, max_size=count))
-    b = draw(st.lists(_COEFF, min_size=count, max_size=count))
+    a = draw(st.lists(coeff, min_size=count, max_size=count))
+    b = draw(st.lists(coeff, min_size=count, max_size=count))
     for i in range(count):
         if draw(st.booleans()):
             # choose b so that (x0, y) lies on curve i: at least one point to find
             x0 = x_lo + draw(st.integers(0, span - 1))
             y = draw(st.integers(0, 10**40))
             b[i] = y * y - x0**3 - a[i] * x0
-    per_block = draw(st.one_of(st.none(), st.integers(1, 8)))
-    return a, b, x_lo, span, per_block
+    return a, b, x_lo, span, draw(per_block)
 
 
 # curves y^2 = x^3 + i x + 1, each through (0, 1), one more than a block of _CHUNK cells holds
@@ -150,7 +160,13 @@ _OVER_ONE_BLOCK = _scan._CHUNK // _SPAN_BELOW + 1
 @example(
     (list(range(_OVER_ONE_BLOCK)), [1] * _OVER_ONE_BLOCK, -(_SPAN_BELOW // 2), _SPAN_BELOW, None)
 )
-@settings(max_examples=60, deadline=None)
+# (-2, 1) on y^2 = x^3 + 9 lies below the floor -1 of y^2 = x^3 + 1: one block
+# takes the lower floor, and two blocks of one curve each take their own
+@example(([0, 0], [1, 9], -100, _scan._SMALL_SPAN, 2))
+@example(([0, 0], [1, 9], -100, _scan._SMALL_SPAN, 1))
+# a lone curve's point alone in its second chunk, which starts at another phase
+@example(([0], [25 - 70000**3], 70000 - _scan._CHUNK, _scan._CHUNK + 1, None))
+@settings(max_examples=80, deadline=None)
 def test_sieve_matches_reference_scan(case):
     a, b, x_lo, span, per_block = case
     x_hi = x_lo + span - 1
@@ -167,19 +183,17 @@ def test_sieve_matches_reference_scan(case):
 @pytest.mark.parametrize(
     "family, T", [(Family.UNIVERSAL, 8), (Family.MORDELL, 20), (Family.B0, 20), (Family.CONGRUENT, 20)]
 )
-def test_small_point_statistics_scans_the_family_at_once(family, T, monkeypatch):
+def test_small_point_statistics_scans_the_family_at_once(family, T, scan_calls):
     exponent = 1.5
     x_cut = int(T**exponent)
     curves = list(enumerate_family(family, T))
     want = sum(len(integral_points(c, x_cut)) for c in curves)
-    # a quiet fall-back to one scan per curve would call scan_range
-    calls = []
-    one_curve = _scan.scan_range
-    monkeypatch.setattr(_scan, "scan_range", lambda *args: calls.append(args) or one_curve(*args))
+    # a quiet fall-back to one scan per curve would make one scan call per curve
+    scan_calls.clear()
     stats = small_point_statistics(family, T, exponent)
     assert want > 0
     assert (stats["triple_count"], stats["family_size"]) == (want, len(curves))
-    assert calls == []
+    assert scan_calls == ["scan_curves"]
 
 
 @pytest.mark.parametrize("T", [math.inf, math.nan, 0.5])
@@ -215,6 +229,21 @@ def test_census_universal_T2():
     assert summary.curve_count == 14
     assert summary.total_points == sum(r.integral_count for r in summary.rows)
     assert summary.average == pytest.approx(summary.total_points / 14)
+
+
+@pytest.mark.parametrize("x_bound", [40, 1000])
+def test_census_scans_its_curves_at_once(x_bound, scan_calls):
+    # 1000 tiles blocks of 32 curves, 40 shares (curve, x) blocks; a curve may repeat
+    family = list(enumerate_family(Family.UNIVERSAL, 4))
+    curves = family + family[::7] + [CurveModel(0, -2)] * 2 + family[:3]
+    want = [integral_points(c, x_bound) for c in curves]
+    scan_calls.clear()
+    summary = census(Family.UNIVERSAL, 4, x_bound, curves=curves)
+    assert scan_calls == ["scan_curves"]
+    assert [(r.curve, r.integral_count, r.points, r.x_bound_used) for r in summary.rows] == [
+        (c, len(pts), pts, x_bound) for c, pts in zip(curves, want)
+    ]
+    assert summary.total_points == sum(map(len, want)) > 0
 
 
 def test_census_rejects_empty_slice():
