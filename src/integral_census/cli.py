@@ -29,11 +29,16 @@ def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _finalize(config: dict, results: dict) -> dict:
-    body = {"config": config, "results": results}
-    digest = hashlib.sha256(_canonical_json(body).encode()).hexdigest()
-    body["content_hash"] = digest
-    return body
+def _finalize(config: dict, results: dict) -> tuple[dict, str]:
+    """The report document and its canonical JSON text.
+
+    config and results are each rendered once; the hashed text of
+    {config, results} and the document's text are both assembled from those
+    two strings, in the key order that sort_keys gives."""
+    c, r = _canonical_json(config), _canonical_json(results)
+    digest = hashlib.sha256(f'{{"config":{c},"results":{r}}}'.encode()).hexdigest()
+    doc = {"config": config, "results": results, "content_hash": digest}
+    return doc, f'{{"config":{c},"content_hash":"{digest}","results":{r}}}'
 
 
 def _parse_curve(text: str) -> CurveModel:
@@ -151,8 +156,8 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
         parser.print_usage(sys.stderr)
         return 1, None
     try:
-        doc = _HANDLERS[args.subcommand](args)
-        _emit(args, doc)
+        doc, text = _finalize(*_HANDLERS[args.subcommand](args))
+        _emit(args, doc, text)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, None
@@ -162,7 +167,7 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
     return 0, doc
 
 
-def _emit(args, doc: dict) -> None:
+def _emit(args, doc: dict, json_text: str) -> None:
     # only census has --format, and only a family census has csv_rows
     if getattr(args, "format", "json") == "csv" and "csv_rows" in doc["results"]:
         rows = doc["results"]["csv_rows"]
@@ -172,7 +177,7 @@ def _emit(args, doc: dict) -> None:
             writer.writerow(row)
         text = buf.getvalue()
     else:
-        text = _canonical_json(doc) + "\n"
+        text = json_text + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -186,7 +191,7 @@ def _family(args) -> Family:
     return Family.from_token(args.family)
 
 
-def _cmd_census(args) -> dict:
+def _cmd_census(args) -> tuple[dict, dict]:
     x_bound = _x_bound(args)
     if args.curve:
         curve = _parse_curve(args.curve)
@@ -230,10 +235,10 @@ def _cmd_census(args) -> dict:
                 for r in summary.rows
             ],
         }
-    return _finalize(config, results)
+    return config, results
 
 
-def _cmd_small_points(args) -> dict:
+def _cmd_small_points(args) -> tuple[dict, dict]:
     fam = _family(args)
     T = _T(args)
     config = {
@@ -243,10 +248,10 @@ def _cmd_small_points(args) -> dict:
         "exponent": args.exponent,
     }
     results = points.small_point_statistics(fam, T, args.exponent)
-    return _finalize(config, results)
+    return config, results
 
 
-def _cmd_heights(args) -> dict:
+def _cmd_heights(args) -> tuple[dict, dict]:
     curve = _parse_curve(args.curve)
     x_str, y_str = args.point.split(",")
     what = f"point {args.point!r}"
@@ -266,10 +271,10 @@ def _cmd_heights(args) -> dict:
         "residual": gap["residual"],
         "is_torsion": prof.is_torsion,
     }
-    return _finalize(config, results)
+    return config, results
 
 
-def _cmd_gap_survey(args) -> dict:
+def _cmd_gap_survey(args) -> tuple[dict, dict]:
     fam = _family(args)
     T = _T(args)
     x_bound = _x_bound(args)
@@ -297,10 +302,10 @@ def _cmd_gap_survey(args) -> dict:
         delta=args.delta,
         restrict_filtered=args.restrict_filtered,
     )
-    return _finalize(config, results)
+    return config, results
 
 
-def _cmd_divpoly_verify(args) -> dict:
+def _cmd_divpoly_verify(args) -> tuple[dict, dict]:
     if not 2 <= args.n_max <= divpoly.PSI_N_MAX:
         raise ValueError(f"--n-max must lie in [2, {divpoly.PSI_N_MAX}]")
     config = {
@@ -330,10 +335,10 @@ def _cmd_divpoly_verify(args) -> dict:
         "homogeneous": homogeneous,
         "leading_ok": leading,
     }
-    return _finalize(config, results)
+    return config, results
 
 
-def _cmd_code_bound(args) -> dict:
+def _cmd_code_bound(args) -> tuple[dict, dict]:
     config = {
         "subcommand": "code-bound",
         "theta": args.theta,
@@ -374,7 +379,7 @@ def _cmd_code_bound(args) -> dict:
     }
     if reads_r:
         results["r"] = res.r
-    return _finalize(config, results)
+    return config, results
 
 
 def _read_config_file(path: str) -> dict:
@@ -398,7 +403,7 @@ _POINT_KEYS = {"c", "D", "s", "J"}
 _CONFIG_KEYS = {"moment_caps", "floors", "density", "grid"} | _POINT_KEYS
 
 
-def _cmd_optimize(args) -> dict:
+def _cmd_optimize(args) -> tuple[dict, dict]:
     overrides = _read_config_file(args.config) if args.config else {}
     if unknown := sorted(set(overrides) - _CONFIG_KEYS):
         raise ValueError(f"unknown --config keys {unknown}, expected some of {sorted(_CONFIG_KEYS)}")
@@ -470,10 +475,10 @@ def _cmd_optimize(args) -> dict:
             "J": report.params.J_default,
         },
     }
-    return _finalize(config, results)
+    return config, results
 
 
-def _cmd_verify_identities(args) -> dict:
+def _cmd_verify_identities(args) -> tuple[dict, dict]:
     results: dict = {}
     x_bound = _x_bound(args)
     config = {
@@ -525,7 +530,7 @@ def _cmd_verify_identities(args) -> dict:
                 if divpoly.multiply_point(curve, pt, n) != acc:
                     failures += 1
         results["mult"] = {"trials": trials, "failures": failures}
-    return _finalize(config, results)
+    return config, results
 
 
 _HANDLERS = {

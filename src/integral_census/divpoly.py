@@ -61,19 +61,22 @@ class DivPoly:
             out[(self.xpart_weight - 2 * fa - 3 * fb, fa, fb)] = c
         return out
 
+    def _fx(self, fa: int, fb: int) -> int:
+        return self.xpart_weight - 2 * fa - 3 * fb
+
     def x_degree(self) -> int:
-        return max((fx for (fx, _, _) in self.terms), default=0)
+        return max((self._fx(fa, fb) for fa, fb in self.xterms), default=0)
 
     def x_leading_coeff(self) -> int:
         d = self.x_degree()
-        return sum(c for (fx, _, _), c in self.terms.items() if fx == d)
+        return sum(c for (fa, fb), c in self.xterms.items() if self._fx(fa, fb) == d)
 
     def x_coeff(self, fx_target: int) -> dict:
         """Coefficient of x^fx_target as a map (f_A, f_B) -> int."""
         return {
             (fa, fb): c
-            for (fx, fa, fb), c in self.terms.items()
-            if fx == fx_target
+            for (fa, fb), c in self.xterms.items()
+            if self._fx(fa, fb) == fx_target
         }
 
 
@@ -89,25 +92,45 @@ def _wmul(w1: int, t1: dict, w2: int, t2: dict) -> tuple[int, dict]:
     A slot is wide enough for any product coefficient plus a sign bit.
     Adding a bias of half a slot to every slot, empty ones included, makes
     every slot non-negative, so it unpacks without borrows.  The unpack goes
-    through bytes: peeling slots off with shifts would be quadratic.
+    through bytes: peeling slots off with shifts would be quadratic.  Row
+    f_A of the product is read only up to the largest f_B a term of it can
+    have, the most over i + j = f_A of the factors' row-i and row-j ends.
     """
     if not t1 or not t2:
         return w1 + w2, {}
-    stride = max(fb for _, fb in t1) + max(fb for _, fb in t2) + 1
+    ends1, ends2 = _row_ends(t1), _row_ends(t2)
+    ends: dict[int, int] = {}
+    for i, e1 in ends1.items():
+        for j, e2 in ends2.items():
+            if ends.get(i + j, -1) < e1 + e2:
+                ends[i + j] = e1 + e2
+    stride = max(ends.values()) + 1
     bound = max(map(abs, t1.values())) * max(map(abs, t2.values())) * min(len(t1), len(t2))
     width = (bound.bit_length() + 8) // 8  # bytes for |c| <= bound and a sign bit
     prod = _pack(t1, stride, width)
     prod *= prod if t2 is t1 else _pack(t2, stride, width)
-    slots = (max(fa for fa, _ in t1) + max(fa for fa, _ in t2) + 1) * stride
+    slots = (max(ends) + 1) * stride
     half = 1 << (8 * width - 1)
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     buf = (prod + bias).to_bytes(slots * width, "little")
     out = {}
-    for k in range(slots):
-        c = int.from_bytes(buf[k * width : (k + 1) * width], "little") - half
-        if c:
-            out[divmod(k, stride)] = c
+    for fa in sorted(ends):
+        k = fa * stride * width
+        for fb in range(ends[fa] + 1):
+            c = int.from_bytes(buf[k : k + width], "little") - half
+            k += width
+            if c:
+                out[fa, fb] = c
     return w1 + w2, out
+
+
+def _row_ends(terms: dict) -> dict[int, int]:
+    """{f_A: the largest f_B of a term in row f_A}."""
+    ends: dict[int, int] = {}
+    for fa, fb in terms:
+        if ends.get(fa, -1) < fb:
+            ends[fa] = fb
+    return ends
 
 
 def _pack(terms: dict, stride: int, width: int) -> int:
@@ -142,9 +165,8 @@ def _wscale_div(terms: dict, d: int) -> dict:
     return out
 
 
-# curve polynomial x^3 + A x + B (weight 3) used to eliminate y^2
-_CURVE_W = 3
-_CURVE_T = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+# (x^3 + A x + B)^2 = y^4 (weight 6), used to eliminate y^4
+_CURVE2 = (6, {(0, 0): 1, (0, 1): 2, (0, 2): 1, (1, 0): 2, (1, 1): 2, (2, 0): 1})
 
 _BASE = {
     0: (0, -1, {}),  # zero polynomial (weight unused)
@@ -200,14 +222,15 @@ def _psi(n: int) -> DivPoly:
     elif n % 2 == 1:
         m = (n - 1) // 2
         pm2, pm, pm1_, pp1 = _psi(m + 2), _psi(m), _psi(m - 1), _psi(m + 1)
-        # odd result is y-free; whichever side carries y^4 picks up curve^2
-        t_a = _wpow3_mul(pm2, pm)
-        t_b = _wpow3_mul(pm1_, pp1)
+        lin_a = (pm2.xpart_weight, pm2.xterms)
+        lin_b = (pm1_.xpart_weight, pm1_.xterms)
+        # odd result is y-free; whichever side carries y^4 picks up curve^2,
+        # multiplied into its linear factor, the small one
         if m % 2 == 0:
-            t_a = _wmul(*_wmul(_CURVE_W, _CURVE_T, _CURVE_W, _CURVE_T), *t_a)
+            lin_a = _wmul(*_CURVE2, *lin_a)
         else:
-            t_b = _wmul(*_wmul(_CURVE_W, _CURVE_T, _CURVE_W, _CURVE_T), *t_b)
-        w, t = _wsub(*t_a, *t_b)
+            lin_b = _wmul(*_CURVE2, *lin_b)
+        w, t = _wsub(*_wpow3_mul(lin_a, pm), *_wpow3_mul(lin_b, pp1))
         poly = DivPoly(n, 0, w, t)
     else:
         m = n // 2
@@ -259,11 +282,11 @@ def _store_cached(path: str, poly: DivPoly) -> None:
         raise
 
 
-def _wpow3_mul(p_lin: DivPoly, p_cub: DivPoly) -> tuple[int, dict]:
-    # x-parts of p_lin * p_cub^3
+def _wpow3_mul(lin: tuple[int, dict], p_cub: DivPoly) -> tuple[int, dict]:
+    # lin times the x-part of p_cub, cubed
     sq = _wmul(p_cub.xpart_weight, p_cub.xterms, p_cub.xpart_weight, p_cub.xterms)
     cu = _wmul(*sq, p_cub.xpart_weight, p_cub.xterms)
-    return _wmul(p_lin.xpart_weight, p_lin.xterms, *cu)
+    return _wmul(*lin, *cu)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +385,8 @@ def verify_coeff_growth(
     for n in range(2, n_max + 1):
         poly = psi(n)
         logn = math.log(n)
-        for (fx, fa, fb), c in poly.terms.items():
+        for (fa, fb), c in poly.xterms.items():
+            fx = poly.xpart_weight - 2 * fa - 3 * fb
             # weight of the stripped part minus f_x equals 2 f_A + 3 f_B
             expo = logn * logn * (2 * fa + 3 * fb)
             log_bound = math.log(K1) + K2 * logn + expo * math.log(K3)

@@ -32,6 +32,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_gt,
+    mpf_log,
+    mpf_lt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_rdiv_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
 from .families import CurveModel, _factorint
 from .points import CurvePoint, add, on_curve
@@ -42,7 +60,6 @@ __all__ = [
     "weil_height",
     "canonical_height",
     "height_pairing",
-    "height_gap_report",
     "global_difference_bound",
 ]
 
@@ -78,31 +95,47 @@ def global_difference_bound(curve: CurveModel) -> float:
 # archimedean local height
 
 
-def _lambda_inf(curve: CurveModel, x0, precision_goal: float, depth: int = 0):
-    """Archimedean local height at a point with x-coordinate x0 (mpf)."""
+def _lambda_inf(curve: CurveModel, x0, precision_goal, depth: int = 0):
+    """Archimedean local height at a point with x-coordinate x0; x0 and
+    precision_goal are mpf.
+
+    The series runs on raw libmp values: each step is the libmp call that
+    the mpf operator would make, at the context precision and rounding, in
+    the same order, so the bits are those of the operator form."""
     a, b = curve.a, curve.b
     if depth > 12:
         raise PrecisionError("archimedean recursion depth exhausted")
     if x0 == 0 or abs(x0) < mp.mpf("0.5"):
         return _lambda_inf_backward(curve, x0, precision_goal, depth)
-    t = 1 / x0
-    total = mp.log(abs(x0))
-    acc = mp.mpf(0)
-    recent = mp.mpf(1)
+    prec, rnd = mp.mp.prec, round_nearest
+    three, four = from_int(3), from_int(4)
+    a2, b8, aa, a4, b4 = 2 * a, 8 * b, a * a, 4 * a, 4 * b
+    t = mpf_rdiv_int(1, x0._mpf_, prec, rnd)
+    total = mpf_log(mpf_abs(x0._mpf_, prec, rnd), prec, rnd)
+    acc = fzero
+    goal = mpf_div(precision_goal._mpf_, from_int(8), prec, rnd)
     for n in range(500):
-        t3, t4 = t**3, t**4
-        z = 1 - 2 * a * t * t - 8 * b * t3 + a * a * t4
-        if z == 0:
+        t3 = mpf_pow_int(t, 3, prec, rnd)
+        t4 = mpf_pow_int(t, 4, prec, rnd)
+        # z = 1 - 2 a t t - 8 b t^3 + a^2 t^4
+        z = mpf_sub(fone, mpf_mul(mpf_mul_int(t, a2, prec, rnd), t, prec, rnd), prec, rnd)
+        z = mpf_sub(z, mpf_mul_int(t3, b8, prec, rnd), prec, rnd)
+        z = mpf_add(z, mpf_mul_int(t4, aa, prec, rnd), prec, rnd)
+        if z == fzero:
             return _lambda_inf_backward(curve, x0, precision_goal, depth)
-        L = mp.log(abs(z))
-        # ldexp by -2n divides by 4^n exactly, so the bits match L / 4^n
-        acc += mp.ldexp(L, -2 * n)
-        recent = max(abs(L), mp.mpf(1))
+        L = mpf_log(mpf_abs(z, prec, rnd), prec, rnd)
+        # a shift by -2n divides by 4^n exactly, so the bits match L / 4^n
+        acc = mpf_add(acc, mpf_shift(L, -2 * n), prec, rnd)
+        recent = mpf_abs(L, prec, rnd)
+        if mpf_gt(fone, recent):
+            recent = fone
         # geometric tail certificate: remaining mass <= recent * 4^-n * 4/3
-        if mp.ldexp(recent, 2 - 2 * n) / 3 < precision_goal / 8:
-            return total + acc / 4
-        w = 4 * t + 4 * a * t3 + 4 * b * t4
-        t = w / z
+        if mpf_lt(mpf_div(mpf_shift(recent, 2 - 2 * n), three, prec, rnd), goal):
+            return mp.make_mpf(mpf_add(total, mpf_div(acc, four, prec, rnd), prec, rnd))
+        # w = 4 t + 4 a t^3 + 4 b t^4
+        w = mpf_add(mpf_mul_int(t, 4, prec, rnd), mpf_mul_int(t3, a4, prec, rnd), prec, rnd)
+        w = mpf_add(w, mpf_mul_int(t4, b4, prec, rnd), prec, rnd)
+        t = mpf_div(w, z, prec, rnd)
     raise PrecisionError("archimedean series did not converge in 500 terms")
 
 
@@ -327,7 +360,8 @@ def _local_coefficients(curve: CurveModel, pt: CurvePoint) -> dict[int, Fraction
 
 
 def _torsion_order(curve: CurveModel, p: CurvePoint) -> int | None:
-    # Nagell-Lutz: a torsion point has x in Z, and y = 0 or y^2 | 4a^3 + 27b^2
+    # Nagell-Lutz: a torsion point has x in Z, and y = 0 or y^2 | 4a^3 + 27b^2;
+    # every multiple of a torsion point is torsion, so it has x in Z too
     if p.x.denominator != 1 or (
         p.y and (4 * curve.a**3 + 27 * curve.b**2) % p.y.numerator**2
     ):
@@ -336,6 +370,8 @@ def _torsion_order(curve: CurveModel, p: CurvePoint) -> int | None:
     for n in range(1, 13):
         if q.is_identity:
             return n
+        if q.x.denominator != 1:
+            return None
         q = add(curve, q, p)
     return None
 
@@ -404,17 +440,9 @@ def _memo_height(
     return memo[key]
 
 
-def height_gap_report(
-    curve: CurveModel, p: CurvePoint, precision_goal: float = 1e-10
-) -> dict:
-    """Difference h_hat - h against its main-term model."""
-    if p.is_identity:
-        raise ValueError("affine required")
-    return _height_gap(curve, p, canonical_height(curve, p, precision_goal))
-
-
 def _height_gap(curve: CurveModel, p: CurvePoint, prof: HeightProfile) -> dict:
-    """height_gap_report from the already computed profile of p."""
+    """Difference h_hat - h at p against its main-term model, from the
+    already computed profile of p."""
     h = prof.weil
     disc = abs(curve.disc())
     x_abs = abs(p.x)

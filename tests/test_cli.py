@@ -485,6 +485,35 @@ def test_content_hash_excludes_runtime_fields(capsys):
     assert _canonical_json(doc1) == _canonical_json(doc2)
 
 
+# benchmark configs of three subcommands, with the content_hash it holds them to
+_REPORT_FROZEN = {
+    ("gap-survey", "--family", "universal", "--T", "2.5", "--x-bound", "1000",
+     "--min-height", "0.5"):
+        "223d06682f5dc2b328c08abd5866246c2628bf2362e41461ff81f6e340f4766f",
+    ("divpoly-verify", "--n-max", "18"):
+        "4c69963c77e67ad9c7531313d833990aad40d119a53727ca5068937bae0b50cd",
+    ("optimize", "--model", "minimalist"):
+        "79b90b99a3cc220c198375c95e157a3846fbf0fad9779ea69fb401bd3ef3f72d",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--family", "universal", "--T", "2.5", "--x-bound", "100"),
+        ("census", "--curve", "0,-2", "--x-bound", "1000"),
+        *sorted(_REPORT_FROZEN),
+    ],
+)
+def test_emitted_text_is_the_canonical_json_of_the_report(argv, capsys):
+    status, doc, out = _run(list(argv), capsys)
+    assert status == 0
+    assert out == _canonical_json(doc) + "\n"
+    body = _canonical_json({"config": doc["config"], "results": doc["results"]})
+    assert doc["content_hash"] == hashlib.sha256(body.encode()).hexdigest()
+    assert doc["content_hash"] == _REPORT_FROZEN.get(argv, doc["content_hash"])
+
+
 def test_parser_lists_all_subcommands():
     parser = build_parser()
     text = parser.format_help()

@@ -46,6 +46,16 @@ def _wmul_cases():
         m = 2 ** (4 * k) - 1
         yield {(1, 0): m, (0, 1): m}, {(0, 1): m, (1, 0): m}
         yield {(1, 0): -m, (0, 1): -m}, {(0, 1): m, (1, 0): m}
+    # ragged supports: rows of different f_B length, an empty middle row,
+    # a nonzero coefficient at the end of every row; the product's row f_A
+    # ends at the most of e1 + e2 over i + j = f_A, which a shorter pair of
+    # rows may not reach
+    yield {(0, 4): 3, (2, 0): -1, (3, 1): 5}, {(0, 0): 2, (1, 2): -7, (3, 5): 1}
+    yield {(0, 0): 1, (0, 6): -2, (1, 1): 4, (4, 2): 9}, {(0, 1): -1, (2, 0): 3}
+    yield {(0, 3): 1, (2, 3): 1}, {(0, 3): 1, (2, 3): -1}  # every row is one slot
+    yield {(0, 0): -1, (5, 4): 2}, {(0, 5): 1, (1, 0): -3, (4, 2): 6}
+    big = 2**200 + 1
+    yield {(0, 2): big, (1, 0): -big, (3, 7): big}, {(0, 0): -big, (2, 3): big}
     for _ in range(40):
         t = [
             {
@@ -99,6 +109,17 @@ def test_weighted_homogeneity_and_leading_coeff(n):
     expected = (n * n - 1) // 2 if n % 2 else (n * n - 4) // 2
     if n > 1:
         assert poly.x_degree() == expected
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_x_accessors_match_the_terms_map(n):
+    poly = psi(n)
+    terms = poly.terms
+    degree = max(fx for fx, _, _ in terms)
+    assert poly.x_degree() == degree
+    assert poly.x_leading_coeff() == sum(c for (fx, _, _), c in terms.items() if fx == degree)
+    for fx in range(-1, degree + 2):
+        assert poly.x_coeff(fx) == {(fa, fb): c for (f, fa, fb), c in terms.items() if f == fx}
 
 
 def psi_value(curve: CurveModel, p: CurvePoint, n: int) -> Fraction:

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 import sympy
@@ -13,7 +14,6 @@ from integral_census.families import CurveModel, Family, enumerate_family
 from integral_census.heights import (
     canonical_height,
     global_difference_bound,
-    height_gap_report,
     height_pairing,
     weil_height,
 )
@@ -104,11 +104,13 @@ def test_torsion_pretest_rejects_without_additions(monkeypatch):
 
 def test_torsion_pretest_passes_nontorsion_point_to_the_loop(monkeypatch):
     # y^2 = x^3 - 6x at (3, 3): 3^2 divides 4(-6)^3 = -864, yet the point
-    # has infinite order, so only the 12 additions can tell
+    # has infinite order; 2P has x = 25/4, and a multiple of a torsion point
+    # has an integral x, so the loop stops after one addition
     curve, p = CurveModel(-6, 0), CurvePoint.affine(3, 3)
+    assert add(curve, p, p).x == Fraction(25, 4)
     calls = _counting_add(monkeypatch)
     assert heights._torsion_order(curve, p) is None
-    assert len(calls) == 12
+    assert len(calls) == 1
     assert canonical_height(curve, p).canonical > 0.1
 
 
@@ -142,6 +144,93 @@ def test_canonical_height_frozen_values(ab, xy, goal, want, monkeypatch):
     pt = CurvePoint(Fraction(xy[0]), Fraction(xy[1]))
     assert canonical_height(CurveModel(*ab), pt, goal).canonical == want
     assert bool(backward) == (abs(pt.x) < Fraction(1, 2))
+
+
+def _operator_lambda_inf(curve, x0, precision_goal, depth=0):
+    """The archimedean series in mpf operator form, as heights._lambda_inf
+    ran it before its loop moved to raw libmp calls: the oracle for its bits."""
+    a, b = curve.a, curve.b
+    if depth > 12:
+        raise heights.PrecisionError("archimedean recursion depth exhausted")
+    if x0 == 0 or abs(x0) < mp.mpf("0.5"):
+        return _operator_lambda_inf_backward(curve, x0, precision_goal, depth)
+    t = 1 / x0
+    total = mp.log(abs(x0))
+    acc = mp.mpf(0)
+    recent = mp.mpf(1)
+    for n in range(500):
+        t3, t4 = t**3, t**4
+        z = 1 - 2 * a * t * t - 8 * b * t3 + a * a * t4
+        if z == 0:
+            return _operator_lambda_inf_backward(curve, x0, precision_goal, depth)
+        L = mp.log(abs(z))
+        acc += mp.ldexp(L, -2 * n)
+        recent = max(abs(L), mp.mpf(1))
+        if mp.ldexp(recent, 2 - 2 * n) / 3 < precision_goal / 8:
+            return total + acc / 4
+        w = 4 * t + 4 * a * t3 + 4 * b * t4
+        t = w / z
+    raise heights.PrecisionError("archimedean series did not converge in 500 terms")
+
+
+def _operator_lambda_inf_backward(curve, x0, precision_goal, depth):
+    a, b = curve.a, curve.b
+    y2 = x0**3 + a * x0 + b
+    if y2 == 0:
+        raise heights.PrecisionError("archimedean height at a branch point")
+    x2 = (x0 * x0 - a) ** 2 - 8 * b * x0
+    x2 /= 4 * y2
+    lam2 = _operator_lambda_inf(curve, x2, precision_goal, depth + 1)
+    return (lam2 + mp.log(abs(4 * y2))) / 4
+
+
+def _survey_pool_points():
+    """The non-torsion points whose heights a gap survey over the universal
+    T = 3 curves at |x| <= 1000 and Weil height >= 0.5 computes: both points
+    of every pair and their sum.  The benchmark's survey draws its pairs
+    from this pool, and its T = 2.5 survey visits a part of it."""
+    out = {}
+    for curve in enumerate_family(Family.UNIVERSAL, 3):
+        pts = [
+            CurvePoint.affine(*pt)
+            for pt in integral_points(curve, 1000)
+            if weil_height(CurvePoint.affine(*pt)) >= 0.5
+        ]
+        for i, p in enumerate(pts):
+            for r in pts[i + 1 :]:
+                if p.x == r.x and p.y == -r.y:
+                    continue
+                for q in (p, r, add(curve, p, r)):
+                    if not q.is_identity and heights._torsion_order(curve, q) is None:
+                        out[curve, q.x] = None
+    return list(out)
+
+
+@pytest.mark.parametrize("goal", [1e-8, 1e-10])
+def test_lambda_inf_matches_operator_oracle(goal, monkeypatch):
+    backward = []
+    original = heights._lambda_inf_backward
+
+    def counting(*args):
+        backward.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(heights, "_lambda_inf_backward", counting)
+    cases = [(CurveModel(*ab), Fraction(xy[0])) for ab, xy, _, _ in _FROZEN_CANONICAL]
+    # two more |x| < 0.5 points, for the backward path: (0, 1) on
+    # y^2 = x^3 + 2x + 1 and on y^2 = x^3 - x + 1
+    cases += [(CurveModel(2, 1), Fraction(0)), (CurveModel(-1, 1), Fraction(0))]
+    pool = _survey_pool_points()
+    assert len(pool) >= 100
+    cases += pool
+    dps = int(-mp.log10(mp.mpf(goal))) + 35  # as canonical_height sets it
+    with mp.workdps(dps):
+        mp_goal = mp.mpf(goal)
+        for curve, x in cases:
+            x0 = mp.mpf(x.numerator) / mp.mpf(x.denominator)
+            want = _operator_lambda_inf(curve, x0, mp_goal)
+            assert heights._lambda_inf(curve, x0, mp_goal)._mpf_ == want._mpf_, (curve, x)
+    assert len(backward) >= sum(abs(x) < Fraction(1, 2) for _, x in cases) >= 6
 
 
 def _check_coefficients_against_ladder(curve, pt, kinds):
@@ -301,7 +390,8 @@ def test_height_pairing_undefined_for_torsion():
 
 
 def test_gap_report_keys():
-    rep = height_gap_report(CurveModel(0, -2), CurvePoint.affine(3, 5), 1e-10)
+    curve, p = CurveModel(0, -2), CurvePoint.affine(3, 5)
+    rep = heights._height_gap(curve, p, canonical_height(curve, p, 1e-10))
     assert set(rep) == {"lhs", "model", "residual"}
     assert rep["lhs"] == pytest.approx(rep["model"] + rep["residual"])
 
