@@ -14,6 +14,7 @@ the same recursion on exact rational values, for n <= 64.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import tempfile
@@ -374,14 +375,13 @@ def verify_coeff_growth(
 
     Returns the worst ratio |C_f| / bound and its witness.
     """
-    import math
-
     if not 2 <= n_max <= PSI_N_MAX:
         raise ValueError(f"n_max must lie in [2, {PSI_N_MAX}]")
     if K1 <= 1 or K3 <= 1 or K2 < 0:
         raise ValueError("require K1 > 1, K3 > 1, K2 >= 0")
     worst = 0.0
     witness = None
+    log_k1, log_k3 = math.log(K1), math.log(K3)
     for n in range(2, n_max + 1):
         poly = psi(n)
         logn = math.log(n)
@@ -389,7 +389,7 @@ def verify_coeff_growth(
             fx = poly.xpart_weight - 2 * fa - 3 * fb
             # weight of the stripped part minus f_x equals 2 f_A + 3 f_B
             expo = logn * logn * (2 * fa + 3 * fb)
-            log_bound = math.log(K1) + K2 * logn + expo * math.log(K3)
+            log_bound = log_k1 + K2 * logn + expo * log_k3
             ratio = math.exp(math.log(abs(c)) - log_bound)
             if ratio > worst:
                 worst = ratio

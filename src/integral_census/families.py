@@ -470,8 +470,7 @@ def filter_diagnostics(
     """
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if not (math.isfinite(T) and T >= 1):
-        raise ValueError("T must be finite and >= 1")
+    _check_T(T)
     a_min, b_min, gcd_max, disc_min, sf_max, x_cut, num_cut, den_cut = _cutoffs(T, delta)
     a, b = curve.a, curve.b
     disc = curve.disc()

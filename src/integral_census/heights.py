@@ -11,18 +11,13 @@ Each non-archimedean local height is q log p with q an exact rational.
 Write x = m/e^2, y = n/e^3 and g = gcd(2n, 3m^2 + a e^4).  At p | e,
 q = 2 v_p(e).  At p dividing neither e nor g, P is p-integral and reduces
 to a nonsingular point, so q = 0 on any integral model (Silverman, AEC II,
-Thm VI.4.1); Delta is never factored.  At p | g, where v_p(Delta) < 12
-the model is minimal at p, and q comes in closed form from v_p(2y),
-v_p(c4), v_p(Delta) and v_p(psi_3) (Silverman, "Computing heights on
-elliptic curves", Math. Comp. 51, 1988, Thm 5.2; Cohen, GTM 138,
-Alg. 7.5.7).  Where v_p(Delta) >= 12 the model may not be minimal at p,
-and the formula may be wrong there, so q is computed by the ladder
-instead: double the point in capped-precision p-adic arithmetic, record
-the valuations c_j = v_p(2 y_j), detect the eventually affine-periodic
-pattern, and sum the telescoping series in closed form.  The ladder
-assumes no minimality: the bounded solution of the local duplication
-identity is unique, which is what the series computes.  It is also the
-oracle the tests hold to the formula and to q = 0 off e and g.
+Thm VI.4.1); Delta is never factored.  At p | g, q comes in closed form
+(Silverman, "Computing heights on elliptic curves", Math. Comp. 51, 1988,
+Thm 5.2; Cohen, GTM 138, Alg. 7.5.7) on a model minimal at p, less 2k.
+That model is reached by k changes x = p^2 x' + r, y = p^3 y' + p^2 s x' + t:
+at p >= 5 each divides out p^4 | a and p^6 | b, and at p = 2 and 3 a
+search over r, s and t finds them.  The tests hold q to a p-adic doubling
+ladder, which assumes no minimality.
 """
 
 from __future__ import annotations
@@ -155,96 +150,7 @@ def _lambda_inf_backward(curve: CurveModel, x0, precision_goal: float, depth: in
 
 
 # ---------------------------------------------------------------------------
-# capped-precision p-adic arithmetic
-
-
-class _PAdic:
-    """p-adic number known modulo p^aprec, stored as p^val * unit."""
-
-    __slots__ = ("p", "val", "unit", "aprec")
-
-    def __init__(self, p, val, unit, aprec):
-        self.p = p
-        if unit == 0:
-            self.val = aprec  # exact-zero-so-far marker
-            self.unit = 0
-        else:
-            self.val = val
-            self.unit = unit
-        self.aprec = aprec
-
-    @staticmethod
-    def from_fraction(p: int, q: Fraction, digits: int) -> "_PAdic":
-        num, den = q.numerator, q.denominator
-        if num == 0:
-            return _PAdic(p, digits, 0, digits)
-        vn = _vp(num, p)
-        vd = _vp(den, p)
-        val = vn - vd
-        k = digits
-        mod = p ** k
-        un = (num // p**vn) % mod
-        ud = (den // p**vd) % mod
-        unit = un * pow(ud, -1, mod) % mod
-        return _PAdic(p, val, unit, val + k)
-
-    def _norm(self):
-        # re-extract extra valuation hiding in the unit after add/sub
-        if self.unit == 0:
-            self.val = self.aprec
-            return self
-        v = _vp(self.unit, self.p)
-        if v:
-            self.val += v
-            self.unit //= self.p**v
-        k = self.aprec - self.val
-        if k <= 0:
-            self.unit = 0
-            self.val = self.aprec
-        else:
-            self.unit %= self.p**k
-            if self.unit == 0:
-                self.val = self.aprec
-        return self
-
-    def is_unknown_zero(self) -> bool:
-        return self.unit == 0
-
-    def mul(self, o: "_PAdic") -> "_PAdic":
-        aprec = min(self.aprec + o.val, o.aprec + self.val)
-        val = self.val + o.val
-        if self.unit == 0 or o.unit == 0:
-            return _PAdic(self.p, aprec, 0, aprec)
-        k = aprec - val
-        unit = (self.unit * o.unit) % self.p**k if k > 0 else 0
-        return _PAdic(self.p, val, unit, aprec)._norm()
-
-    def div(self, o: "_PAdic") -> "_PAdic":
-        if o.unit == 0:
-            raise PrecisionError("p-adic division by unresolved zero")
-        aprec = min(self.aprec - o.val, o.aprec + self.val - 2 * o.val)
-        val = self.val - o.val
-        if self.unit == 0:
-            return _PAdic(self.p, aprec, 0, aprec)
-        k = aprec - val
-        if k <= 0:
-            return _PAdic(self.p, aprec, 0, aprec)
-        mod = self.p**k
-        unit = self.unit % mod * pow(o.unit % mod, -1, mod) % mod
-        return _PAdic(self.p, val, unit, aprec)._norm()
-
-    def add(self, o: "_PAdic") -> "_PAdic":
-        aprec = min(self.aprec, o.aprec)
-        v = min(self.val, o.val)
-        k = aprec - v
-        if k <= 0:
-            return _PAdic(self.p, aprec, 0, aprec)
-        mod = self.p**k
-        s = (self.unit * self.p ** (self.val - v) + o.unit * self.p ** (o.val - v)) % mod
-        return _PAdic(self.p, v, s, aprec)._norm()
-
-    def sub(self, o: "_PAdic") -> "_PAdic":
-        return self.add(_PAdic(o.p, o.val, -o.unit % (o.p ** max(o.aprec - o.val, 1)) if o.unit else 0, o.aprec))
+# non-archimedean local heights
 
 
 def _vp(n: int, p: int) -> int:
@@ -256,65 +162,6 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _padic_valuation_sequence(
-    curve: CurveModel, p: int, pt: CurvePoint, count: int, digits: int
-) -> list[int]:
-    """c_j = v_p(2 y(2^j P)) for j = 0..count-1."""
-    a = _PAdic.from_fraction(p, Fraction(curve.a), digits)
-    x = _PAdic.from_fraction(p, pt.x, digits)
-    y = _PAdic.from_fraction(p, pt.y, digits)
-    three = _PAdic.from_fraction(p, Fraction(3), digits)
-    two = _PAdic.from_fraction(p, Fraction(2), digits)
-    out = []
-    for _ in range(count):
-        ty = two.mul(y)
-        if ty.is_unknown_zero():
-            raise PrecisionError("p-adic precision exhausted in doubling")
-        out.append(ty.val)
-        num = three.mul(x).mul(x).add(a)
-        m = num.div(ty)
-        x2 = m.mul(m).sub(x).sub(x)
-        y2 = m.mul(x.sub(x2)).sub(y)
-        x, y = x2, y2
-    return out
-
-
-def _affine_periodic_tail(c: list[int]) -> Fraction:
-    """Sum_{j>=0} c_j / 4^(j+1) for an eventually affine-periodic sequence.
-
-    Detects c_{j+T} = c_j + T*a for all j >= j0 and sums the tail exactly.
-    """
-    J = len(c)
-    for T in range(1, 13):
-        for j0 in range(0, J - 3 * T):
-            diffs = {c[j + T] - c[j] for j in range(j0, J - T)}
-            if len(diffs) == 1:
-                step = diffs.pop()
-                if step % T and T > 1:
-                    continue
-                head = sum(Fraction(c[j], 4 ** (j + 1)) for j in range(j0))
-                tail = Fraction(0)
-                r = Fraction(1, 4**T)
-                geo = 1 / (1 - r)
-                drift = r / (1 - r) ** 2
-                for i in range(T):
-                    q = Fraction(1, 4 ** (j0 + i + 1))
-                    tail += c[j0 + i] * q * geo + step * q * drift
-                return head + tail
-    raise PrecisionError("no affine-periodic pattern in valuation sequence")
-
-
-def _lambda_p_exact(curve: CurveModel, p: int, pt: CurvePoint) -> Fraction:
-    """Exact coefficient q with local height q * log p at the prime p."""
-    for count, digits in ((40, 64), (64, 160), (96, 400)):
-        try:
-            c = _padic_valuation_sequence(curve, p, pt, count, digits)
-            return -2 * _affine_periodic_tail(c)
-        except PrecisionError:
-            continue
-    raise PrecisionError(f"local height at p = {p} did not stabilize")
-
-
 def _v(q: Fraction, p: int) -> float:
     """v_p of a rational; +inf at zero."""
     if q == 0:
@@ -322,36 +169,95 @@ def _v(q: Fraction, p: int) -> float:
     return _vp(q.numerator, p) - _vp(q.denominator, p)
 
 
-def _lambda_p_formula(curve: CurveModel, p: int, pt: CurvePoint) -> Fraction | None:
-    """The coefficient q of _lambda_p_exact at a prime p of g in closed form,
-    or None where v_p(Delta) >= 12 and the model may not be minimal at p.
+def _b_invariants(ainv: tuple) -> tuple:
+    """b2, b4, b6, b8, c4 and Delta of the model [a1, a2, a3, a4, a6]."""
+    a1, a2, a3, a4, a6 = ainv
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    return b2, b4, b6, b8, b2 * b2 - 24 * b4, disc
 
-    Silverman's z (normalized as half of this module's heights) is q / 2.
-    """
-    a, b = curve.a, curve.b
-    N = _vp(curve.disc(), p)
-    if N >= 12:
+
+def _reduce_once(ainv: tuple, p: int) -> tuple | None:
+    """An integral model reached by x = p^2 x' + r, y = p^3 y' + p^2 s x' + t,
+    with (r, s, t); None where [a1, a2, a3, a4, a6] is minimal at p.
+
+    The a-invariants change as in Silverman, AEC, Table 3.1.  r, s and t
+    matter only modulo p^2, p and p^3 (Cremona, Algorithms for Modular
+    Elliptic Curves, 3.2).  At p >= 5 the model stays short, and it is
+    minimal unless p^4 | a4 and p^6 | a6, that is unless r = s = t = 0
+    works."""
+    a1, a2, a3, a4, a6 = ainv
+    *_, c4, disc = _b_invariants(ainv)
+    if c4 % p or _vp(disc, p) < 12:
         return None
-    x, y = pt.x, pt.y
-    B = _v(2 * y, p)
-    if a != 0 and (48 * a) % p:
-        # v_p(c4) = 0 with c4 = -48a: multiplicative reduction
+    m = p if p < 5 else 1
+    for s in range(m):
+        if (a1 + 2 * s) % p:
+            continue
+        for r in range(m * m):
+            n2 = a2 - s * a1 + 3 * r - s * s
+            if n2 % p**2:
+                continue
+            for t in range(m**3):
+                n3 = a3 + r * a1 + 2 * t
+                if n3 % p**3:
+                    continue
+                n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
+                n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
+                if n4 % p**4 == 0 and n6 % p**6 == 0:
+                    reduced = ((a1 + 2 * s) // p, n2 // p**2, n3 // p**3, n4 // p**4, n6 // p**6)
+                    return reduced, (r, s, t)
+    return None
+
+
+def _minimal_model(curve: CurveModel, p: int, pt: CurvePoint) -> tuple:
+    """([a1, a2, a3, a4, a6], x, y, k): a model minimal at p, P on it, and
+    the number k of changes of model by p that reach it from the curve."""
+    ainv, x, y, k = (0, 0, 0, curve.a, curve.b), pt.x, pt.y, 0
+    while (step := _reduce_once(ainv, p)) is not None:
+        ainv, (r, s, t) = step
+        x, y = (x - r) / p**2, (y - s * (x - r) - t) / p**3
+        k += 1
+    return ainv, x, y, k
+
+
+def _closed_form(ainv: tuple, p: int, x: Fraction, y: Fraction) -> Fraction:
+    """The coefficient q of the local height q log p at (x, y) on a model
+    minimal at p (Silverman, Math. Comp. 51, 1988, Thm 5.2; Cohen, GTM 138,
+    Alg. 7.5.7).  Silverman's z (normalized as half of this module's
+    heights) is q / 2."""
+    a1, a2, a3, a4, _ = ainv
+    b2, b4, b6, b8, c4, disc = _b_invariants(ainv)
+    A = _v((3 * x + 2 * a2) * x + a4 - a1 * y, p)
+    B = _v(2 * y + a1 * x + a3, p)
+    if A <= 0 or B <= 0:
+        # nonsingular reduction
+        return Fraction(max(0, -_v(x, p)))
+    if c4 % p:
+        # multiplicative reduction
+        N = _vp(disc, p)
         M = min(Fraction(B), Fraction(N, 2))
         return -M * (N - M) / N
-    C = _v(3 * x**4 + 6 * a * x**2 + 12 * b * x - a * a, p)
+    C = _v((((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8, p)
     return Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
 
 
 def _local_coefficients(curve: CurveModel, pt: CurvePoint) -> dict[int, Fraction]:
     """{p: q} with local height q log p, over the primes of e and g only;
-    q is 0 at every other prime."""
+    q is 0 at every other prime.
+
+    At a prime of g, q is the closed form on a model minimal at p, less 2k.
+    The height with Silverman's v_p(Delta) / 12 term does not depend on the
+    model; this module's omits the term, so on a model whose v_p(Delta) is
+    12k higher it is 2k lower."""
     e = math.isqrt(pt.x.denominator)
     m, n = pt.x.numerator, pt.y.numerator
     g = math.gcd(2 * n, 3 * m * m + curve.a * e**4)
     out = {p: Fraction(2 * k) for p, k in _factorint(e).items()}
     for p in _factorint(g):
-        q = _lambda_p_formula(curve, p, pt)
-        out[p] = _lambda_p_exact(curve, p, pt) if q is None else q
+        ainv, x, y, k = _minimal_model(curve, p, pt)
+        out[p] = _closed_form(ainv, p, x, y) - 2 * k
     return out
 
 

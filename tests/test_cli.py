@@ -177,6 +177,14 @@ def test_heights_subcommand_computes_one_canonical_height(capsys, monkeypatch):
     )
 
 
+def test_heights_on_a_model_not_minimal_at_2_exits_0(capsys):
+    # the short model of 37a1: reaching a model minimal at 2 needs t != 0;
+    # argparse reads a separate "-1296,11664" as an option, hence the "="
+    status, doc, _ = _run(["heights", "--curve=-1296,11664", "--point", "0,108"], capsys)
+    assert status == 0
+    assert doc["results"]["canonical"] == 0.05111140823991884
+
+
 def test_heights_off_curve_point_exits_1(capsys):
     status, doc = run(["heights", "--curve", "0,-2", "--point", "3,6"])
     assert status == 1 and doc is None
