@@ -145,11 +145,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """argv with a --curve or --point value that begins with "-" joined to
+    its flag: argparse would read a separate "-2,-21" as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--curve", "--point") and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv: list[str]) -> tuple[int, dict | None]:
     """Dispatch a CLI invocation; returns (exit status, report document)."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(argv))
     except SystemExit:
         return 1, None
     if args.subcommand is None:
@@ -481,6 +493,9 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
 def _cmd_verify_identities(args) -> tuple[dict, dict]:
     results: dict = {}
     x_bound = _x_bound(args)
+    if args.coeff_bound < 1:
+        # an empty grid would make the mod-3 check pass vacuously
+        raise ValueError("--coeff-bound must be >= 1")
     config = {
         "subcommand": "verify-identities",
         "check": args.check,

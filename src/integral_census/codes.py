@@ -195,18 +195,14 @@ def lp_bound(
     """
     if not 2 <= r <= 16:
         raise ValueError("lp_bound supports 2 <= r <= 16")
-    if degree > 40:
-        raise ValueError("degree must be <= 40")
+    if not 2 <= degree <= 40:
+        raise ValueError("lp_bound supports 2 <= degree <= 40")
     if grid_size < 200:
         raise ValueError("grid_size must be >= 200")
     if not 0 < theta < math.pi / 2 + _THETA_EDGE:
         raise ValueError("theta out of domain")
     ct = math.cos(theta)
     degrees = list(range(2, degree + 1, 2))
-    if not degrees:
-        # constant polynomial: f = 1 > 0 on the region, no valid bound beyond
-        # the normalization; report the trivial value 1 certified
-        return CodeBoundResult(r, theta, "lp", 1.0, True, {"degree": 0})
     t_grid = np.linspace(0.0, ct, grid_size)
     basis_grid = _basis_eval(r, degrees, t_grid)
     # variables f_k >= 0; minimize f(1) = 1 + sum f_k; constraint f(t) <= 0,

@@ -10,6 +10,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterator
 
 import mpmath as mp
@@ -236,6 +237,16 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0, by Newton's method from above."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while (t := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+        r = t
+    return r
+
+
 def _perfect_root(n: int) -> int | None:
     """r if n = r^k for a prime k, else None; n has no prime factor below 100.
 
@@ -245,11 +256,7 @@ def _perfect_root(n: int) -> int | None:
     for k in _SMALL_PRIMES:
         if 6 * k > n.bit_length():
             return None
-        # Newton's method from above converges to floor(n^(1/k))
-        r = 1 << -(-n.bit_length() // k)
-        while (t := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-            r = t
-        if r**k == n:
+        if (r := _iroot(n, k)) ** k == n:
             return r
     return None
 
@@ -341,19 +348,10 @@ def is_family_member(curve: CurveModel, family: Family) -> bool:
 
 
 def _coeff_bounds(T: float) -> tuple[int, int]:
-    # naive_height <= T  <=>  4|a|^3 <= T^6 and 27 b^2 <= T^6
-    t6 = mp.mpf(T) ** 6
-    a_max = int(mp.floor((t6 / 4) ** (mp.mpf(1) / 3)))
-    while 4 * (a_max + 1) ** 3 <= t6:
-        a_max += 1
-    while a_max > 0 and 4 * a_max**3 > t6:
-        a_max -= 1
-    b_max = int(mp.floor(mp.sqrt(t6 / 27)))
-    while 27 * (b_max + 1) ** 2 <= t6:
-        b_max += 1
-    while b_max > 0 and 27 * b_max**2 > t6:
-        b_max -= 1
-    return a_max, b_max
+    # naive_height <= T  <=>  4|a|^3 <= T^6 and 27 b^2 <= T^6, compared
+    # exactly: the float T has an exact sixth power
+    t6 = Fraction(T) ** 6
+    return _iroot(math.floor(t6 / 4), 3), math.isqrt(math.floor(t6 / 27))
 
 
 def enumerate_family(family: Family, T: float) -> Iterator[CurveModel]:
@@ -390,10 +388,8 @@ def _member_rows(family: Family, T: float) -> Iterator[tuple[int, list[int]]]:
     if family is Family.B0:
         return ((a, [0]) for a in range(-a_max, a_max + 1) if not _has_power(a, 4))
     if family is Family.CONGRUENT:
-        # height of y^2 = x^3 - D^2 x is 4^(1/6) D
-        d_max = int(mp.floor(mp.mpf(T) * mp.mpf(4) ** (mp.mpf(-1) / 6)))
-        while naive_height(-((d_max + 1) ** 2), 0) <= T:
-            d_max += 1
+        # a = -D^2, so 4|a|^3 <= T^6 exactly when D^2 <= a_max
+        d_max = math.isqrt(a_max)
         return ((-d * d, [0]) for d in range(1, d_max + 1) if _squarefree_positive(d))
     raise ValueError(family)
 

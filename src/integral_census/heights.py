@@ -13,11 +13,16 @@ q = 2 v_p(e).  At p dividing neither e nor g, P is p-integral and reduces
 to a nonsingular point, so q = 0 on any integral model (Silverman, AEC II,
 Thm VI.4.1); Delta is never factored.  At p | g, q comes in closed form
 (Silverman, "Computing heights on elliptic curves", Math. Comp. 51, 1988,
-Thm 5.2; Cohen, GTM 138, Alg. 7.5.7) on a model minimal at p, less 2k.
-That model is reached by k changes x = p^2 x' + r, y = p^3 y' + p^2 s x' + t:
-at p >= 5 each divides out p^4 | a and p^6 | b, and at p = 2 and 3 a
-search over r, s and t finds them.  The tests hold q to a p-adic doubling
-ladder, which assumes no minimality.
+Thm 5.2; Cohen, GTM 138, Alg. 7.5.7; his z is q / 2) on a model minimal at
+p, less 2k.  That model is reached by one change x = p^2k x' + r,
+y = p^3k y' + p^2k s x' + t, found once per prime: at p >= 5 it divides
+out p^4k | a and p^6k | b, and at p = 2 and 3 a search over r, s and t
+finds it one p at a time.  The closed form is read off the curve's own
+short model, each valuation that of an integer less a fixed offset.  The
+height with Silverman's v_p(Delta) / 12 term does not depend on the
+model; this module's omits the term, so on a model whose v_p(Delta) is
+12k higher it is 2k lower.  The tests hold q to a p-adic doubling ladder,
+which assumes no minimality.
 """
 
 from __future__ import annotations
@@ -153,8 +158,10 @@ def _lambda_inf_backward(curve: CurveModel, x0, precision_goal: float, depth: in
 # non-archimedean local heights
 
 
-def _vp(n: int, p: int) -> int:
-    n = abs(n)
+def _vp(n: int, p: int) -> int | float:
+    """v_p(n); +inf at n = 0."""
+    if n == 0:
+        return math.inf
     v = 0
     while n % p == 0:
         n //= p
@@ -162,102 +169,83 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
-def _v(q: Fraction, p: int) -> float:
-    """v_p of a rational; +inf at zero."""
-    if q == 0:
-        return math.inf
-    return _vp(q.numerator, p) - _vp(q.denominator, p)
+def _reduce_once(curve: CurveModel, p: int, k: int, r: int, s: int, t: int) -> tuple | None:
+    """(r', s', t') with r' = r (mod p^2k), s' = s (mod p^k) and
+    t' = t + s (r' - r) (mod p^3k), such that x = p^(2k+2) x' + r',
+    y = p^(3k+3) y' + p^(2k+2) s' x' + t' takes the curve to an integral
+    model; None if there is none.
 
-
-def _b_invariants(ainv: tuple) -> tuple:
-    """b2, b4, b6, b8, c4 and Delta of the model [a1, a2, a3, a4, a6]."""
-    a1, a2, a3, a4, a6 = ainv
-    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
-    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    return b2, b4, b6, b8, b2 * b2 - 24 * b4, disc
-
-
-def _reduce_once(ainv: tuple, p: int) -> tuple | None:
-    """An integral model reached by x = p^2 x' + r, y = p^3 y' + p^2 s x' + t,
-    with (r, s, t); None where [a1, a2, a3, a4, a6] is minimal at p.
-
-    The a-invariants change as in Silverman, AEC, Table 3.1.  r, s and t
-    matter only modulo p^2, p and p^3 (Cremona, Algorithms for Modular
-    Elliptic Curves, 3.2).  At p >= 5 the model stays short, and it is
-    minimal unless p^4 | a4 and p^6 | a6, that is unless r = s = t = 0
-    works."""
-    a1, a2, a3, a4, a6 = ainv
-    *_, c4, disc = _b_invariants(ainv)
-    if c4 % p or _vp(disc, p) < 12:
-        return None
-    m = p if p < 5 else 1
-    for s in range(m):
-        if (a1 + 2 * s) % p:
+    That model's [a1, a2, a3, a4, a6], times [u, u^2, u^3, u^4, u^6] with
+    u = p^(k+1), are [2s', 3r' - s'^2, 2t', a + 3r'^2 - 2s't', b + r'a + r'^3
+    - t'^2] (Silverman, AEC, Table 3.1).  Each step's r, s and t matter only
+    modulo p^2, p and p^3 (Cremona, Algorithms for Modular Elliptic Curves,
+    3.2), and at p >= 5 only 0 can work."""
+    a, b = curve.a, curve.b
+    u, w, m = p**k, p ** (k + 1), p if p < 5 else 1
+    for s2 in range(s, s + m * u, u):
+        if 2 * s2 % w:
             continue
-        for r in range(m * m):
-            n2 = a2 - s * a1 + 3 * r - s * s
-            if n2 % p**2:
+        for r2 in range(r, r + m * m * u * u, u * u):
+            if (3 * r2 - s2 * s2) % w**2:
                 continue
-            for t in range(m**3):
-                n3 = a3 + r * a1 + 2 * t
-                if n3 % p**3:
-                    continue
-                n4 = a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t
-                n6 = a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1
-                if n4 % p**4 == 0 and n6 % p**6 == 0:
-                    reduced = ((a1 + 2 * s) // p, n2 // p**2, n3 // p**3, n4 // p**4, n6 // p**6)
-                    return reduced, (r, s, t)
+            t0 = t + s * (r2 - r)
+            for t2 in range(t0, t0 + m**3 * u**3, u**3):
+                if (
+                    2 * t2 % w**3 == 0
+                    and (a + 3 * r2 * r2 - 2 * s2 * t2) % w**4 == 0
+                    and (b + r2 * a + r2**3 - t2 * t2) % w**6 == 0
+                ):
+                    return r2, s2, t2
     return None
 
 
-def _minimal_model(curve: CurveModel, p: int, pt: CurvePoint) -> tuple:
-    """([a1, a2, a3, a4, a6], x, y, k): a model minimal at p, P on it, and
-    the number k of changes of model by p that reach it from the curve."""
-    ainv, x, y, k = (0, 0, 0, curve.a, curve.b), pt.x, pt.y, 0
-    while (step := _reduce_once(ainv, p)) is not None:
-        ainv, (r, s, t) = step
-        x, y = (x - r) / p**2, (y - s * (x - r) - t) / p**3
-        k += 1
-    return ainv, x, y, k
+def _change_of_model(curve: CurveModel, p: int) -> tuple[int, int, int]:
+    """(k, r, s): x = p^(2k) x' + r, y = p^(3k) y' + p^(2k) s x' + t takes
+    the curve to a model minimal at p; t never enters a height.
 
-
-def _closed_form(ainv: tuple, p: int, x: Fraction, y: Fraction) -> Fraction:
-    """The coefficient q of the local height q log p at (x, y) on a model
-    minimal at p (Silverman, Math. Comp. 51, 1988, Thm 5.2; Cohen, GTM 138,
-    Alg. 7.5.7).  Silverman's z (normalized as half of this module's
-    heights) is q / 2."""
-    a1, a2, a3, a4, _ = ainv
-    b2, b4, b6, b8, c4, disc = _b_invariants(ainv)
-    A = _v((3 * x + 2 * a2) * x + a4 - a1 * y, p)
-    B = _v(2 * y + a1 * x + a3, p)
-    if A <= 0 or B <= 0:
-        # nonsingular reduction
-        return Fraction(max(0, -_v(x, p)))
-    if c4 % p:
-        # multiplicative reduction
-        N = _vp(disc, p)
-        M = min(Fraction(B), Fraction(N, 2))
-        return -M * (N - M) / N
-    C = _v((((3 * x + b2) * x + 3 * b4) * x + 3 * b6) * x + b8, p)
-    return Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
+    A model is minimal where v_p(c4) = 0 or v_p(Delta) < 12; c4 = -48a and
+    Delta are the curve's, divided by p^(4k) and p^(12k)."""
+    k = r = s = t = 0
+    v_disc = _vp(curve.disc(), p)
+    while (48 * curve.a) % p ** (4 * k + 1) == 0 and v_disc >= 12 * k + 12:
+        if (step := _reduce_once(curve, p, k, r, s, t)) is None:
+            break
+        (r, s, t), k = step, k + 1
+    return k, r, s
 
 
 def _local_coefficients(curve: CurveModel, pt: CurvePoint) -> dict[int, Fraction]:
     """{p: q} with local height q log p, over the primes of e and g only;
     q is 0 at every other prime.
 
-    At a prime of g, q is the closed form on a model minimal at p, less 2k.
-    The height with Silverman's v_p(Delta) / 12 term does not depend on the
-    model; this module's omits the term, so on a model whose v_p(Delta) is
-    12k higher it is 2k lower."""
+    At a prime of g, p does not divide e, and each valuation of the closed
+    form is an integer's: with u = p^k, the change of model divides
+    3x^2 + a - 2sy by u^4, 2y by u^3, psi_3 by u^8, c4 = -48a by u^4 and
+    Delta by u^12, and takes x to (x - r) / u^2 (Silverman, AEC, Table 3.1)."""
+    a, b = curve.a, curve.b
     e = math.isqrt(pt.x.denominator)
     m, n = pt.x.numerator, pt.y.numerator
-    g = math.gcd(2 * n, 3 * m * m + curve.a * e**4)
+    e2 = e * e
+    g = math.gcd(2 * n, 3 * m * m + a * e2 * e2)
     out = {p: Fraction(2 * k) for p, k in _factorint(e).items()}
     for p in _factorint(g):
-        ainv, x, y, k = _minimal_model(curve, p, pt)
-        out[p] = _closed_form(ainv, p, x, y) - 2 * k
+        k, r, s = _change_of_model(curve, p)
+        # e^6 (3x^2 + a - 2sy) = e^2 (3m^2 + a e^4 - 2s n e)
+        A = _vp(3 * m * m + a * e2 * e2 - 2 * s * n * e, p) - 4 * k
+        B = _vp(2 * n, p) - 3 * k
+        if A <= 0 or B <= 0:
+            # nonsingular reduction
+            q = Fraction(max(0, 2 * k - _vp(m - r * e2, p)))
+        elif (48 * a) % p ** (4 * k + 1):
+            # multiplicative reduction
+            N = _vp(curve.disc(), p) - 12 * k
+            M = min(Fraction(B), Fraction(N, 2))
+            q = -M * (N - M) / N
+        else:
+            # additive reduction; C from e^8 psi_3
+            C = _vp(3 * m**4 + 6 * a * m * m * e2**2 + 12 * b * m * e2**3 - a * a * e2**4, p) - 8 * k
+            q = Fraction(-2 * B, 3) if C >= 3 * B else Fraction(-C, 4)
+        out[p] = q - 2 * k
     return out
 
 

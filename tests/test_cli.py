@@ -178,11 +178,27 @@ def test_heights_subcommand_computes_one_canonical_height(capsys, monkeypatch):
 
 
 def test_heights_on_a_model_not_minimal_at_2_exits_0(capsys):
-    # the short model of 37a1: reaching a model minimal at 2 needs t != 0;
-    # argparse reads a separate "-1296,11664" as an option, hence the "="
-    status, doc, _ = _run(["heights", "--curve=-1296,11664", "--point", "0,108"], capsys)
+    # the short model of 37a1: reaching a model minimal at 2 needs t != 0
+    status, doc, _ = _run(["heights", "--curve", "-1296,11664", "--point", "0,108"], capsys)
     assert status == 0
     assert doc["results"]["canonical"] == 0.05111140823991884
+    _, joined, _ = _run(["heights", "--curve=-1296,11664", "--point", "0,108"], capsys)
+    assert joined == doc
+
+
+@pytest.mark.parametrize(
+    "argv, joined",
+    [
+        (["census", "--curve", "-2,-21", "--x-bound", "100"],
+         ["census", "--curve=-2,-21", "--x-bound", "100"]),
+        (["heights", "--curve", "405,16038", "--point", "-9,108"],
+         ["heights", "--curve", "405,16038", "--point=-9,108"]),
+    ],
+)
+def test_curve_and_point_values_may_begin_with_a_minus(argv, joined, capsys):
+    status, doc, _ = _run(argv, capsys)
+    assert status == 0
+    assert _run(joined, capsys)[1] == doc
 
 
 def test_heights_off_curve_point_exits_1(capsys):
@@ -224,6 +240,15 @@ def test_code_bound_lp_config_records_degree_and_grid(capsys):
     assert deg10["config"]["degree"] == 10
     assert deg10["results"]["bound"] != deg20["results"]["bound"]
     assert deg10["content_hash"] != deg20["content_hash"]
+
+
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_code_bound_lp_rejects_a_constant_polynomial(degree, capsys):
+    # f = 1 is positive on [0, cos theta]: it certifies no bound
+    argv = ["code-bound", "--theta", "0.5", "--method", "lp", "--r", "3", "--degree", degree]
+    status, doc = run(argv)
+    assert status == 1 and doc is None
+    assert "2 <= degree <= 40" in capsys.readouterr().err
 
 
 def test_code_bound_kl_leaves_out_the_r_it_ignores(capsys):
@@ -352,6 +377,13 @@ def test_optimize_search_config_holds_only_what_the_search_reads(tmp_path, capsy
     assert doc["config"] == {
         "subcommand": "optimize", "model": "minimalist", "search": True, "grid": grid
     }
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_verify_identities_rejects_an_empty_grid(bound, capsys):
+    status, doc = run(["verify-identities", "--check", "mod3", "--coeff-bound", bound])
+    assert status == 1 and doc is None
+    assert "--coeff-bound must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_identities_mod3_small(capsys):

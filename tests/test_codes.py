@@ -94,6 +94,8 @@ def test_lp_input_validation():
     with pytest.raises(ValueError):
         lp_bound(4, 1.0, degree=50)
     with pytest.raises(ValueError):
+        lp_bound(4, 1.0, degree=1)
+    with pytest.raises(ValueError):
         lp_bound(4, 1.0, grid_size=10)
 
 

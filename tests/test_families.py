@@ -132,6 +132,19 @@ def test_enumerate_equals_brute_force_walk(family, T):
     assert list(enumerate_family(family, T)) == _brute_force_members(family, T)
 
 
+@pytest.mark.parametrize("T", [11.198423241934007, 18.898815748423097])
+def test_coefficient_bounds_compare_t6_exactly(T):
+    """T^6 / 4 rounded to 53 bits let a = +-79 in at the first T, although
+    4 * 79^3 > T^6; at the second, D = 15 stayed in the congruent family,
+    although 4 * 15^6 > T^6."""
+    t6 = Fraction(T) ** 6
+    a_max, b_max = families._coeff_bounds(T)
+    assert 4 * a_max**3 <= t6 < 4 * (a_max + 1) ** 3
+    assert 27 * b_max**2 <= t6 < 27 * (b_max + 1) ** 2
+    for family in (Family.B0, Family.CONGRUENT):
+        assert all(4 * abs(c.a) ** 3 <= t6 for c in enumerate_family(family, T))
+
+
 def test_enumerate_pins_singular_and_non_quasiminimal_cells():
     curves = set(enumerate_family(Family.UNIVERSAL, 7))
     # 4a^3 + 27b^2 = 0 at a = -3k^2, b = +-2k^3; their row neighbours stay

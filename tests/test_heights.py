@@ -406,8 +406,7 @@ def _check_coefficients_against_ladder(curve, pt, kinds):
         elif small:
             kinds["g, v_p(Delta) < 12"] += 1
         else:
-            (a1, a2, a3, a4, a6), x, y, k = heights._minimal_model(curve, p, pt)
-            assert y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
+            k = heights._change_of_model(curve, p)[0]
             kinds["g, reduced" if k else "g, minimal, v_p(Delta) >= 12"] += 1
 
 
@@ -433,18 +432,21 @@ def test_local_height_formula_matches_ladder():
     assert min(kinds[k] for k in ("e", "zero", "g, v_p(Delta) < 12")) > 50, kinds
 
 
-@pytest.mark.parametrize("u", [2, 3, 5, 6, 7])
+@pytest.mark.parametrize("u", [2, 3, 4, 5, 6, 7, 9])
 def test_local_coefficients_match_ladder_on_rescaled_models(u):
     """The same oracle on the (u^4 a, u^6 b) models, which are not minimal
     at the primes of u; the closed form runs on a reduced model there
-    whenever P is singular mod p.  u = 5 and 7 take the p >= 5 branch."""
+    whenever P is singular mod p.  u = 5 and 7 take the p >= 5 branch, and
+    u = 4 needs k = 2 changes at 2, and u = 9 at 3."""
     kinds = collections.Counter()
     for curve in enumerate_family(Family.UNIVERSAL, 3):
         scaled = CurveModel(u**4 * curve.a, u**6 * curve.b)
         for q in _points_and_sums(curve, 100, per_point=1):
             sq = CurvePoint(u * u * q.x, u**3 * q.y)
             _check_coefficients_against_ladder(scaled, sq, kinds)
-    assert min(kinds[k] for k in ("e", "zero, v_p(Delta) >= 12", "g, reduced")) > 0, kinds
+    assert min(kinds[k] for k in ("e", "g, reduced")) > 0, kinds
+    # at u = 9, 3 leaves g only at a point with 9 | e, and none of these has one
+    assert (kinds["zero, v_p(Delta) >= 12"] > 0) == (u != 9), kinds
 
 
 def test_local_coefficients_match_ladder_where_v_p_delta_is_large():
@@ -480,17 +482,24 @@ def test_local_coefficients_on_short_models(ab, point, at_2, at_3, h):
     """Each short model is quasiminimal at 2 (2^6 does not divide b) but not
     minimal there: its minimal model has a1 or a3 odd, so only a change with
     s or t nonzero reaches it.  At 3 the change is a rescaling for the first
-    two and needs r != 0 for the third."""
+    two and needs r != 0 for the third.  The models rescaled by 2 and 3 need
+    k = 2, with that change second: its r and s enter times p^2 and p."""
     curve, p = CurveModel(*ab), CurvePoint.affine(*point)
     assert curve.b % 2**6
-    for q, step in ((2, at_2), (3, at_3)):
-        model = (0, 0, 0, curve.a, curve.b)
-        assert heights._reduce_once(model, q)[1] == step
-        assert heights._minimal_model(curve, q, p)[3] == 1
-    kinds = collections.Counter()
-    for n in range(1, 7):
-        _check_coefficients_against_ladder(curve, multiply_point(curve, p, n), kinds)
+    multiples = [multiply_point(curve, p, n) for n in range(1, 7)]
+    kinds, scaled_kinds = collections.Counter(), collections.Counter()
+    for q, (r, s, t) in ((2, at_2), (3, at_3)):
+        assert heights._reduce_once(curve, q, 0, 0, 0, 0) == (r, s, t)
+        assert heights._change_of_model(curve, q) == (1, r, s)
+        scaled = CurveModel(q**4 * curve.a, q**6 * curve.b)
+        assert heights._change_of_model(scaled, q) == (2, q * q * r, q * s)
+        for m in multiples:
+            sm = CurvePoint(q * q * m.x, q**3 * m.y)
+            _check_coefficients_against_ladder(scaled, sm, scaled_kinds)
+    for m in multiples:
+        _check_coefficients_against_ladder(curve, m, kinds)
     assert kinds["g, reduced"] >= 2, kinds
+    assert scaled_kinds["g, reduced"] >= 4, scaled_kinds
     assert canonical_height(curve, p).canonical == h
 
 
@@ -499,14 +508,19 @@ def test_local_coefficients_at_multiplicative_reduction():
     4), and P = (23, -110) lies on component 1 of 4: q = -M (N - M) / N with
     M = 1 gives -3/4, where the additive branch would give -2/3.  2P and 3P
     lie on components 2 and 3.  The universal family at T <= 3 reaches only
-    I_2, where the two branches agree."""
+    I_2, where the two branches agree.  On the model rescaled by 5, v_5(c4)
+    = 4 = 4k, and q is 2 lower."""
     curve, p = CurveModel(-2, -21), CurvePoint.affine(23, -110)
+    scaled = CurveModel(5**4 * curve.a, 5**6 * curve.b)
     kinds = collections.Counter()
     for n, q5 in enumerate([Fraction(-3, 4), Fraction(-1), Fraction(-3, 4)], 1):
         q = multiply_point(curve, p, n)
+        sq = CurvePoint(25 * q.x, 125 * q.y)
         assert heights._local_coefficients(curve, q)[5] == q5
+        assert heights._local_coefficients(scaled, sq)[5] == q5 - 2
         _check_coefficients_against_ladder(curve, q, kinds)
-    assert kinds["g, v_p(Delta) < 12"] == 3, kinds
+        _check_coefficients_against_ladder(scaled, sq, kinds)
+    assert kinds["g, v_p(Delta) < 12"] == 3 and kinds["g, reduced"] == 3, kinds
 
 
 def test_local_coefficients_when_3x2_plus_a_vanishes():
@@ -548,23 +562,25 @@ def test_canonical_height_never_factors_the_discriminant(monkeypatch):
 
 
 RESCALED = [(-8, 1, (-2, 3)), (-3, 7, (-1, 3)), (0, -2, (3, 5)), (-7, 10, (1, 2))]
-# at this prime of u, the closed form on the rescaled model itself gives
-# -11/4, where the reduced model (and the ladder) give -8/3
+# at this prime of u, the closed form on the rescaled model itself (no
+# change of model) gives -11/4, where the reduced model (and the ladder)
+# give -8/3
 UNREDUCED_WRONG_AT = {(-8, 1): 2, (-3, 7): 3}
 
 
 @pytest.mark.parametrize("u", [2, 3, 6])
 @pytest.mark.parametrize("a, b, point", RESCALED)
-def test_canonical_height_invariant_under_rescaling(a, b, point, u):
+def test_canonical_height_invariant_under_rescaling(a, b, point, u, monkeypatch):
     curve, p = CurveModel(a, b), CurvePoint.affine(*point)
     scaled = CurveModel(u**4 * a, u**6 * b)
     sp = CurvePoint.affine(u * u * point[0], u**3 * point[1])
     for q in sympy.factorint(u):
-        assert heights._minimal_model(scaled, q, sp)[3] == sympy.multiplicity(q, u)
+        assert heights._change_of_model(scaled, q)[0] == sympy.multiplicity(q, u)
         if q == UNREDUCED_WRONG_AT.get((a, b)):
-            unreduced = heights._closed_form((0, 0, 0, scaled.a, scaled.b), q, sp.x, sp.y)
-            assert unreduced == Fraction(-11, 4)
             assert heights._local_coefficients(scaled, sp)[q] == Fraction(-8, 3)
+            with monkeypatch.context() as m:
+                m.setattr(heights, "_change_of_model", lambda curve, p: (0, 0, 0))
+                assert heights._local_coefficients(scaled, sp)[q] == Fraction(-11, 4)
     h = canonical_height(curve, p).canonical
     assert canonical_height(scaled, sp).canonical == pytest.approx(h, abs=1e-9)
 
