@@ -1,13 +1,16 @@
 """Command-line front end: validation, dispatch, and report emission.
 
 Every run emits a JSON document containing the validated config and a
-content hash of (config, results).  Every run is serial; the output path
-and the accepted-but-ignored ``--threads`` flag are excluded from the
-document, so identical computations produce byte-identical JSON.
+content hash of (config, results).  The LP code bounds of one theta are
+solved concurrently, and the output never depends on the number of
+threads; the output path and the accepted-but-ignored ``--threads`` flag
+are excluded from the document, so identical computations produce
+byte-identical JSON.
 
 Each subcommand declares only the options it reads, plus ``--out`` and
 ``--threads``: any other option exits 1, and so does a ``--config`` key or
 a code-bound ``--degree``/``--grid-size`` that the chosen mode would not read.
+Options are taken by their full names only, never abbreviated.
 """
 
 from __future__ import annotations
@@ -100,15 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="integral-census",
         description="Integral-point censuses, heights, and code-bound pipelines.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand")
     # every subcommand takes these two, and neither enters the report
     io_opts = argparse.ArgumentParser(add_help=False)
-    io_opts.add_argument("--threads", type=int, default=1, help="ignored; every run is serial")
+    io_opts.add_argument(
+        "--threads", type=int, default=1,
+        help="ignored; the output never depends on the number of threads",
+    )
     io_opts.add_argument("--out", default=None)
 
     def add(name: str, *shared: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[io_opts])
+        p = sub.add_parser(name, parents=[io_opts], allow_abbrev=False)
         for opt in shared:
             p.add_argument(opt, **_SHARED[opt])
         return p
@@ -147,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _attach_signed_values(argv: list[str]) -> list[str]:
     """argv with a --curve or --point value that begins with "-" joined to
-    its flag: argparse would read a separate "-2,-21" as an option."""
+    its flag: argparse would read a separate "-2,-21" as an option.  The
+    parsers take no abbreviated flag, so only the full names need joining."""
     out: list[str] = []
     for token in argv:
         if out and out[-1] in ("--curve", "--point") and token.startswith("-"):
@@ -496,13 +504,10 @@ def _cmd_verify_identities(args) -> tuple[dict, dict]:
     if args.coeff_bound < 1:
         # an empty grid would make the mod-3 check pass vacuously
         raise ValueError("--coeff-bound must be >= 1")
-    config = {
-        "subcommand": "verify-identities",
-        "check": args.check,
-        "coeff_bound": args.coeff_bound,
-        "x_bound": x_bound,
-    }
+    config = {"subcommand": "verify-identities", "check": args.check}
     if args.check in ("mod3", "all"):
+        # only the mod-3 sweep reads the grid and the scan window
+        config.update(coeff_bound=args.coeff_bound, x_bound=x_bound)
         bound = args.coeff_bound
         grid = (
             CurveModel(a, b)

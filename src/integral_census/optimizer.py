@@ -19,8 +19,10 @@ trial, and density * sum_r p*_r b_r(trial) is at most the trial's
 aggregate.  A trial whose bound exceeds the incumbent's aggregate by more
 than 1e-6 (1 + |aggregate|) could never be accepted, and is skipped after
 its constraint check and the code bounds of the ranks with p*_r > 0 (0..3
-at the reference point), before its other LPs.  Within one search the
-worst-case LP is also memoized on its input vector (b_0 .. b_20).
+at the reference point), before its other LPs.  A trial evaluated in full
+solves the LPs of each theta = acos(J/2) in one concurrent batch
+(``codes._fill_best``).  Within one search the worst-case LP is also
+memoized on its input vector (b_0 .. b_20).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import linprog
 
-from .codes import best_code_bound
+from .codes import _fill_best, best_code_bound
 
 __all__ = [
     "OptimizerParams",
@@ -259,6 +261,11 @@ def _feasible_aggregate(
         model, params, dt, incumbent.worst_case
     ) > incumbent.aggregate + _PRUNE_SLACK * (1 + abs(incumbent.aggregate)):
         return None
+    thetas: dict[float, list[int]] = {}
+    for r in range(2, _R_MAX + 1):
+        thetas.setdefault(math.acos(params.J(r) / 2), []).append(r)
+    for theta, ranks in thetas.items():
+        _fill_best(ranks, theta)
     per_rank = {r: _rank_bound(r, params, dt) for r in range(0, _R_MAX + 1)}
     tail = _tail_bound(params, dt, model)
     if model.kind == "explicit":

@@ -201,6 +201,30 @@ def test_curve_and_point_values_may_begin_with_a_minus(argv, joined, capsys):
     assert _run(joined, capsys)[1] == doc
 
 
+@pytest.mark.parametrize(
+    "abbreviated, full",
+    [
+        (["heights", "--cur", "0,-2", "--point", "3,5"],
+         ["heights", "--curve", "0,-2", "--point", "3,5"]),
+        (["census", "--cur", "-2,-21", "--x-bound", "100"],
+         ["census", "--curve", "-2,-21", "--x-bound", "100"]),
+        (["heights", "--curve", "405,16038", "--poi", "-9,108"],
+         ["heights", "--curve", "405,16038", "--point", "-9,108"]),
+        (["census", "--curve", "0,-2", "--x-b", "100"],
+         ["census", "--curve", "0,-2", "--x-bound", "100"]),
+    ],
+)
+def test_abbreviated_options_exit_1(abbreviated, full, capsys):
+    assert run(abbreviated) == (1, None)
+    status, doc, _ = _run(full, capsys)
+    assert status == 0 and doc is not None
+
+
+def test_top_level_options_are_not_abbreviated(capsys):
+    assert run(["--hel"]) == (1, None)
+    assert "unrecognized arguments: --hel" in capsys.readouterr().err
+
+
 def test_heights_off_curve_point_exits_1(capsys):
     status, doc = run(["heights", "--curve", "0,-2", "--point", "3,6"])
     assert status == 1 and doc is None
@@ -384,6 +408,16 @@ def test_verify_identities_rejects_an_empty_grid(bound, capsys):
     status, doc = run(["verify-identities", "--check", "mod3", "--coeff-bound", bound])
     assert status == 1 and doc is None
     assert "--coeff-bound must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["triple-root", "mult"])
+def test_verify_identities_hashes_only_the_options_a_check_reads(check, capsys):
+    docs = [
+        _run(["verify-identities", "--check", check, *opts], capsys)[1]
+        for opts in ([], ["--coeff-bound", "5"], ["--coeff-bound", "30", "--x-bound", "50"])
+    ]
+    assert docs[0]["config"] == {"subcommand": "verify-identities", "check": check}
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_verify_identities_mod3_small(capsys):

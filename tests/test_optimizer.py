@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,22 @@ def test_aggregate_reuses_code_bounds_across_d(monkeypatch):
     second = aggregate_bound(model, OptimizerParams(c=0.998114, D=1200.0, s=3, J_default=1.25))
     assert solves == []
     assert second.per_rank != first.per_rank
+
+
+def test_aggregate_solves_the_lps_of_each_theta_off_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(codes, "_BEST", {})
+    solved = []
+    solve = codes.lp_bound
+
+    def recording(r, theta):
+        solved.append((r, theta, threading.current_thread() is threading.main_thread()))
+        return solve(r, theta)
+
+    monkeypatch.setattr(codes, "lp_bound", recording)
+    params = OptimizerParams(c=0.998114, D=612.117, s=3, J_by_rank={5: 1.3}, J_default=1.25)
+    aggregate_bound(RankModel.moments(), params)
+    want = [(r, math.acos((1.3 if r == 5 else 1.25) / 2), False) for r in range(3, 17)]
+    assert sorted(solved) == want
 
 
 def test_aggregate_rejects_infeasible_parameters():
