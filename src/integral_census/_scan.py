@@ -3,21 +3,30 @@
 For each modulus m, a table built once at import marks the residues
 (a, b, x) mod m for which x^3 + a x + b is a square mod m: the
 residue-table square test of Cohen, *A Course in Computational Algebraic
-Number Theory*, section 1.7.2.  Both ways of applying the tables sieve a
-block of curves per numpy pass, at most ``_CHUNK`` (curve, x) cells, and
-the window's width picks one:
+Number Theory*, section 1.7.2.  The tables are bit-packed: row
+(a mod m) * m + (b mod m) holds eight periods of its m bits in m bytes, and
+byte c holds x = 8c, ..., 8c + 7 mod m, most significant bit first.  So
+the byte that holds x = 8q, ..., 8q + 7 of any window is byte q mod m of
+the row, for every modulus, and the sieve ANDs whole bytes: eight x-values
+per byte.  Both ways of applying the tables sieve a block of curves per
+numpy pass, at most ``_CHUNK`` (curve, x) cells, and the window's width
+picks one:
 
 - a lone curve, or a window of ``_SMALL_SPAN`` x-values or more, is tiled:
-  each curve's table row is repeated along the window, sliced at the
-  window's phase and ANDed over the moduli; the block starts at its own
-  Cauchy floor, and a lone curve past ``_CHUNK`` x-values goes chunk by chunk;
-- several curves on a shorter window are gathered: each curve's row is read
-  at the window's x residues, and the blocks are ANDed over the moduli.
+  each curve's row bytes are repeated along the window, sliced at the
+  window's byte phase and ANDed over the moduli; the block starts at its
+  own Cauchy floor, and a lone curve past ``_CHUNK`` x-values goes chunk by
+  chunk;
+- several curves on a shorter window are gathered: one flat ``take`` per
+  modulus reads each curve's row at the window's bytes, and the blocks are
+  ANDed over the moduli.
 
-Both feed one confirm step: each surviving (curve, x), about 0.3% of a long
-window, is tested with ``math.isqrt`` on Python ints.  Residues are taken
-on Python ints and no x is formed in a fixed-width type, so the scan is
-exact at any magnitude.
+Both give one byte mask per pass to one confirm step.  It unpacks only the
+nonzero bytes, skips the bits of the window's end bytes that lie outside
+it, and tests each surviving (curve, x), about 0.1% of a long window, with
+``math.isqrt`` on Python ints.  Residues are taken on Python ints and each
+x is formed as the Python int 8 q + offset, never in a fixed-width type, so
+the scan is exact at any magnitude.
 """
 
 import functools
@@ -31,80 +40,103 @@ _M = np.array(_MODULI)[:, None]
 # the moduli are pairwise coprime: c % _MODULUS fits an int64 and keeps every c % m
 _MODULUS = math.prod(_MODULI)
 # cells (x-values, or curve-by-x pairs) sieved per numpy pass; bounds the scan's working memory
-_CHUNK = 1 << 16
+_CHUNK = 1 << 17
 # several curves are gathered only on a window shorter than this, and tiled from
 # it on: over the 15,936 universal T = 8 curves gathering is faster up to about
-# 150 x-values and tiling from 200 on.  A lone curve is tiled at any width.
-_SMALL_SPAN = 200
+# 120 x-values and tiling from about 136 on.  A lone curve is tiled at any width.
+_SMALL_SPAN = 128
 
 
-def _square_rows(m: int) -> np.ndarray:
-    """r[(a mod m) * m + (b mod m), x mod m]: x^3 + a x + b is a square mod m."""
+def _packed_rows(m: int) -> np.ndarray:
+    """The table for m: bit x of row (a mod m) * m + (b mod m), most
+    significant bit of each byte first, is set when x^3 + a x + b is a
+    square mod m.  A row holds x = 0, ..., 8m - 1, eight periods, in m bytes."""
     x = np.arange(m)
     is_square = np.isin(x, x * x % m)
-    b = x[:, None]
-    # one a at a time keeps the int64 intermediates at m^2, not m^3
-    return np.array([is_square[(x * x * x + a * x + b) % m] for a in range(m)]).reshape(m * m, m)
+    # x^3 + b and a x, each reduced mod m, add up to less than 2m
+    twice = np.concatenate((is_square, is_square))
+    cube_b = (x**3 + x[:, None]) % m
+    out = np.empty((m, m, m), np.uint8)
+    # one a at a time: the int64 intermediates and the 8-fold repeat stay at m^2 cells
+    for a, ax in enumerate(x[:, None] * x % m):
+        out[a] = np.packbits(np.concatenate((twice[cube_b + ax],) * 8, axis=1), axis=1)
+    return out.reshape(m * m, m)
 
 
-_ROWS = [_square_rows(m) for m in _MODULI]
+_TABLES = [_packed_rows(m) for m in _MODULI]
 
 
-def _residues(seq) -> np.ndarray:
-    """Each c of seq as c % _MODULUS, an int64 array."""
-    return np.fromiter((c % _MODULUS for c in seq), np.int64, len(seq))
+def _rows(a_seq, b_seq) -> np.ndarray:
+    """r[j, i]: the row of curve i in table j."""
+    a, b = (np.fromiter((c % _MODULUS for c in seq), np.int64, len(seq)) for seq in (a_seq, b_seq))
+    r = a % _M
+    r *= _M
+    r += b % _M
+    return r
+
+
+def _set_bits(mask: np.ndarray):
+    """The (i, j) of every set bit of mask, a (curves, bytes) array of
+    MSB-first bytes, in order: row i, bit j counted from the start of the row."""
+    flat = mask.ravel()
+    # unpack only the nonzero bytes, a few percent of a long window; a bool
+    # nonzero is several times faster than a uint8 one
+    nz = (flat != 0).nonzero()[0]
+    if not nz.size:
+        return ()
+    bits = np.unpackbits(flat[nz]).nonzero()[0]
+    ci, xi = np.divmod((nz << 3)[bits >> 3] + (bits & 7), 8 * mask.shape[1])
+    return zip(ci.tolist(), xi.tolist())
 
 
 def _tiled_candidates(a_seq, b_seq, x_lo: int, x_hi: int):
-    """The (i, x), x in [x_lo, x_hi], that pass every residue table for
-    curve i, in (i, x) order."""
-    a, b = _residues(a_seq), _residues(b_seq)
+    """The sieve passes (s, lo, q, mask) of the tiled regime: bit j of row i
+    of mask is set when x = 8 q + j passes every residue table for curve
+    s + i; only x in [lo, x_hi] belong to the window."""
     step = max(1, _CHUNK // (x_hi - x_lo + 1))
     for s in range(0, len(a_seq), step):
+        a, b = a_seq[s : s + step], b_seq[s : s + step]
         # every real root has |x| < 1 + max(|a|, |b|) (Cauchy), so below the
         # largest such bound of the block every curve of it has v < 0
-        lo = max(x_lo, -max(map(abs, [*a_seq[s : s + step], *b_seq[s : s + step]])))
-        n = x_hi - lo + 1
-        if n < 1:
+        lo = max(x_lo, -max(map(abs, [*a, *b])))
+        if lo > x_hi:
             continue
-        # at[j, i]: the row of curve s + i in table j
-        at = a[s : s + step] % _M * _M + b[s : s + step] % _M
-        k = at.shape[1]
-        # x-values per chunk: k * width <= _CHUNK, and a block of several curves is one chunk
-        width = min(n, _CHUNK // k)
+        # the bytes that hold [lo, x_hi]: x in [8 q, 8 q + 7] for q in [q_lo, q_hi]
+        q_lo, q_hi = lo // 8, x_hi // 8
+        at = _rows(a, b)
+        k = len(a)
+        # bytes per chunk: as many as _CHUNK // k x-values at any phase touch,
+        # so a block of several curves is one chunk
+        width = min(q_hi - q_lo + 1, _CHUNK // k // 8 + 2)
         # each curve's row repeated to cover a chunk plus one period, so a chunk can start at any phase
         tiles = [
-            rows.take(i, axis=0).repeat(width // m + 2, axis=0).reshape(k, -1)
-            for m, rows, i in zip(_MODULI, _ROWS, at)
+            table.take(i.repeat(width // m + 2), axis=0).reshape(k, -1)
+            for m, table, i in zip(_MODULI, _TABLES, at)
         ]
-        for x0 in range(lo, x_hi + 1, width):
-            c = min(width, x_hi + 1 - x0)
-            mask = functools.reduce(
-                np.logical_and, (t[:, x0 % m : x0 % m + c] for m, t in zip(_MODULI, tiles))
+        for q0 in range(q_lo, q_hi + 1, width):
+            c = min(width, q_hi + 1 - q0)
+            yield s, lo, q0, functools.reduce(
+                np.bitwise_and, (t[:, q0 % m : q0 % m + c] for m, t in zip(_MODULI, tiles))
             )
-            # a 1-d nonzero is several times faster than a 2-d one
-            ci, xi = np.divmod(np.flatnonzero(mask), c)
-            for i, j in zip(ci.tolist(), xi.tolist()):
-                yield s + i, x0 + j
 
 
 def _block_candidates(a_seq, b_seq, x_lo: int, x_hi: int):
-    """The (i, x), x in [x_lo, x_hi], that pass every residue table for
-    curve i, in (i, x) order."""
-    n = x_hi - x_lo + 1
-    a, b = _residues(a_seq), _residues(b_seq)
-    # cols[j]: the column of a table-j row that each x of the window reads
-    cols = (np.array([x_lo % m for m in _MODULI])[:, None] + np.arange(n)) % _M
-    step = _CHUNK // n
+    """The sieve passes (s, x_lo, q, mask) of the gathered regime, as
+    ``_tiled_candidates`` gives them."""
+    q_lo, q_hi = x_lo // 8, x_hi // 8
+    # cols[j]: the byte of a table-j row that each byte of the window reads
+    cols = (np.array([q_lo % m for m in _MODULI])[:, None] + np.arange(q_hi - q_lo + 1)) % _M
+    step = max(1, _CHUNK // (x_hi - x_lo + 1))
     for s in range(0, len(a_seq), step):
-        # at[j, i]: the row of curve s + i in table j
-        at = a[s : s + step] % _M * _M + b[s : s + step] % _M
-        mask = functools.reduce(
-            np.logical_and, (rows.take(i, axis=0)[:, col] for rows, i, col in zip(_ROWS, at, cols))
+        yield s, x_lo, q_lo, functools.reduce(
+            np.bitwise_and,
+            (
+                table.take((i * m)[:, None] + col)
+                for m, table, i, col in zip(
+                    _MODULI, _TABLES, _rows(a_seq[s : s + step], b_seq[s : s + step]), cols
+                )
+            ),
         )
-        ci, xi = np.divmod(np.flatnonzero(mask), n)
-        for i, j in zip(ci.tolist(), xi.tolist()):
-            yield s + i, x_lo + j
 
 
 def scan_curves(a_seq, b_seq, x_lo: int, x_hi: int):
@@ -115,13 +147,20 @@ def scan_curves(a_seq, b_seq, x_lo: int, x_hi: int):
         return
     blocks = len(a_seq) > 1 and n < _SMALL_SPAN
     candidates = _block_candidates if blocks else _tiled_candidates
-    for i, x in candidates(a_seq, b_seq, x_lo, x_hi):
-        v = x * x * x + a_seq[i] * x + b_seq[i]
-        if v < 0:
-            continue
-        r = math.isqrt(v)
-        if r * r == v:
-            yield i, x, r
+    for s, lo, q, mask in candidates(a_seq, b_seq, x_lo, x_hi):
+        base = 8 * q
+        # the end bytes hold bits outside [lo, x_hi]
+        head, stop = lo - base, x_hi + 1 - base
+        for i, j in _set_bits(mask):
+            if head <= j < stop:
+                i += s
+                x = base + j
+                v = x * x * x + a_seq[i] * x + b_seq[i]
+                if v < 0:
+                    continue
+                r = math.isqrt(v)
+                if r * r == v:
+                    yield i, x, r
 
 
 def scan_range(a: int, b: int, x_lo: int, x_hi: int) -> list[tuple[int, int]]:

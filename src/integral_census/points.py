@@ -6,9 +6,10 @@ quadratic-residue sieve discards almost every x, and big-int
 whole curve list over |x| <= x_bound in one ``scan_curves`` call, and
 ``small_point_statistics`` the whole family over |x| <= T^exponent;
 ``integral_points`` is the same scan over a list of one curve.  The scan
-sieves many curves per numpy pass either way: tiled on a window of
-``_scan._SMALL_SPAN`` x-values or more, and gathered as (curve, x) blocks
-on a shorter one.
+reads bit-packed residue tables, eight x-values per byte, and sieves many
+curves per numpy pass either way: tiled on a window of
+``_scan._SMALL_SPAN`` x-values or more, and gathered as (curve, byte)
+blocks on a shorter one.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def census(
 ) -> CensusSummary:
     """Integral-point counts per curve, in enumeration order, plus the
     family average."""
-    if T < 1 or x_bound < 1:
-        raise ValueError("T and x_bound must be >= 1")
+    _check_T(T)
+    if x_bound < 1:
+        raise ValueError("x_bound must be >= 1")
     if curves is None:
         curves = list(enumerate_family(family, T))
     if not curves:

@@ -1,7 +1,11 @@
+import collections
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -180,6 +184,109 @@ def test_sieve_matches_reference_scan(case):
         assert _scan.scan_range(a[0], b[0], x_lo, x_hi) == want[0]
 
 
+def _square_rows(m):
+    """r[(a mod m) * m + (b mod m), x mod m]: x^3 + a x + b is a square mod m."""
+    a, b, x = np.ogrid[:m, :m, :m]
+    return np.isin((x**3 + a * x + b) % m, np.arange(m) ** 2 % m).reshape(m * m, m)
+
+
+@pytest.mark.parametrize("j, m", list(enumerate(_scan._MODULI)))
+def test_packed_table_bits_match_square_rows(j, m):
+    table = _scan._TABLES[j]
+    assert table.dtype == np.uint8 and table.shape == (m * m, m)
+    x = np.arange(8 * m)
+    # bit x of a row is bit 7 - x % 8 of byte x // 8: most significant first
+    bits = table[:, x // 8] >> (7 - x % 8) & 1
+    rows = _square_rows(m)
+    assert np.array_equal(bits, rows[:, x % m])
+    # and the reference itself against the definition, on a sample
+    rng = random.Random(m)
+    for a, b, x0 in ([rng.randrange(m) for _ in range(3)] for _ in range(300)):
+        square = any((y * y - (x0**3 + a * x0 + b)) % m == 0 for y in range(m))
+        assert rows[a * m + b, x0] == square
+
+
+def test_one_packed_table_per_modulus():
+    assert len(_scan._TABLES) == len(_scan._MODULI)
+    assert sum(t.nbytes for t in _scan._TABLES) == sum(m**3 for m in _scan._MODULI) == 812_086
+
+
+def _planted_curves(xs, a=3, y=7):
+    """One curve y^2 = x^3 + a x + b through (x0, y) for each x0 of xs."""
+    return [a] * len(xs), [y * y - x0**3 - a * x0 for x0 in xs]
+
+
+def _reference(a, b, x_lo, x_hi):
+    return [(i, x, y) for i in range(len(a)) for x, y in _scan_py.scan_range(a[i], b[i], x_lo, x_hi)]
+
+
+def _edge_windows():
+    """Windows with each end at every residue mod 8, one-x windows, and
+    windows at negative x and past int64, all shorter than _SMALL_SPAN."""
+    for base in (40, -104, -(10**19) - 8, 10**19 - 10**19 % 8):
+        for r_lo in range(8):
+            for r_hi in range(8):
+                yield base + r_lo, base + 32 + r_hi
+    for x in (0, 7, 8, -1, -8, -9, 10**19 + 3, -(10**19) + 5):
+        yield x, x
+
+
+@pytest.mark.parametrize("regime", ["tiled", "gathered"])
+def test_scan_window_edges_match_reference(regime, monkeypatch):
+    # several curves on a short window are gathered; force each regime
+    if regime == "tiled":
+        monkeypatch.setattr(_scan, "_SMALL_SPAN", 0)
+        monkeypatch.setattr(_scan, "_block_candidates", None)
+    else:
+        monkeypatch.setattr(_scan, "_SMALL_SPAN", 10**9)
+        monkeypatch.setattr(_scan, "_tiled_candidates", None)
+    for x_lo, x_hi in _edge_windows():
+        # points just outside the window share its end bytes, except at a byte boundary
+        a, b = _planted_curves([x_lo - 1, x_lo, x_hi, x_hi + 1, (x_lo + x_hi) // 2])
+        want = _reference(a, b, x_lo, x_hi)
+        assert {x for _, x, _ in want} >= {x_lo, x_hi}
+        assert list(_scan.scan_curves(a, b, x_lo, x_hi)) == want, (x_lo, x_hi)
+        if regime == "tiled":
+            for i in range(len(a)):
+                want_i = [(x, y) for j, x, y in want if j == i]
+                assert _scan.scan_range(a[i], b[i], x_lo, x_hi) == want_i, (x_lo, x_hi, i)
+
+
+@pytest.mark.parametrize("chunk", [None, 201])
+def test_scan_skips_a_block_whose_cauchy_floor_is_above_the_window(chunk):
+    # y^2 = x^3 + 10^6 x + b has a point at -250; the other curves have no
+    # real root below -2, so with one curve per block their blocks start above x_hi
+    x_lo, x_hi = -300, -100
+    a, b = [10**6, 0, 2, 1], [4 - (-250) ** 3 - 10**6 * -250, 1, -1, 2]
+    want = _reference(a, b, x_lo, x_hi)
+    assert want == [(0, -250, 2)]
+    with mock.patch.object(_scan, "_CHUNK", chunk or _scan._CHUNK):
+        assert list(_scan.scan_curves(a, b, x_lo, x_hi)) == want
+        assert list(_scan.scan_curves(a[1:], b[1:], x_lo, x_hi)) == []
+
+
+@pytest.mark.parametrize(
+    "curves, x_bound",
+    [(list(enumerate_family(Family.UNIVERSAL, 4)), 3000), ([CurveModel(0, -2)], 2_000_000)],
+    ids=["census-T4", "fermat"],
+)
+def test_scan_working_memory_is_bounded_by_chunk(curves, x_bound):
+    a, b = [c.a for c in curves], [c.b for c in curves]
+    want = list(_scan.scan_curves(a, b, -x_bound, x_bound))
+    # a few hundred (curve, x) cells per block at most: many blocks or chunks
+    chunk = 1 << 15
+    with mock.patch.object(_scan, "_CHUNK", chunk):
+        assert list(_scan.scan_curves(a, b, -x_bound, x_bound)) == want
+        tracemalloc.start()
+        try:
+            collections.deque(_scan.scan_curves(a, b, -x_bound, x_bound), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # seven tiles of a pass hold about an eighth of a byte per cell each
+    assert peak < 2 * chunk
+
+
 @pytest.mark.parametrize(
     "family, T", [(Family.UNIVERSAL, 8), (Family.MORDELL, 20), (Family.B0, 20), (Family.CONGRUENT, 20)]
 )
@@ -244,6 +351,12 @@ def test_census_scans_its_curves_at_once(x_bound, scan_calls):
         (c, len(pts), pts, x_bound) for c, pts in zip(curves, want)
     ]
     assert summary.total_points == sum(map(len, want)) > 0
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, 0.5])
+def test_census_rejects_bad_T_with_curves(T):
+    with pytest.raises(ValueError, match="T must be finite and >= 1"):
+        census(Family.UNIVERSAL, T, 100, curves=[CurveModel(0, -2)])
 
 
 def test_census_rejects_empty_slice():
