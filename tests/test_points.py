@@ -273,7 +273,7 @@ def test_scan_skips_a_block_whose_cauchy_floor_is_above_the_window(chunk):
 def test_scan_working_memory_is_bounded_by_chunk(curves, x_bound):
     a, b = [c.a for c in curves], [c.b for c in curves]
     want = list(_scan.scan_curves(a, b, -x_bound, x_bound))
-    # a few hundred (curve, x) cells per block at most: many blocks or chunks
+    # 2^15 cells a pass: blocks of 5 census curves, or 62 chunks of the lone curve
     chunk = 1 << 15
     with mock.patch.object(_scan, "_CHUNK", chunk):
         assert list(_scan.scan_curves(a, b, -x_bound, x_bound)) == want
