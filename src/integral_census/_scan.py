@@ -57,7 +57,7 @@ def _packed_rows(m: int) -> np.ndarray:
     twice = np.concatenate((is_square, is_square))
     cube_b = (x**3 + x[:, None]) % m
     out = np.empty((m, m, m), np.uint8)
-    # one a at a time: the int64 intermediates and the 8-fold repeat stay at m^2 cells
+    # one a at a time: m^2 cells of int64 intermediates and 8 m^2 of repeated bits
     for a, ax in enumerate(x[:, None] * x % m):
         out[a] = np.packbits(np.concatenate((twice[cube_b + ax],) * 8, axis=1), axis=1)
     return out.reshape(m * m, m)
