@@ -88,7 +88,7 @@ def test_scan_backends_agree():
             assert y >= 0 and y * y == x**3 + a * x + b
 
 
-@pytest.mark.parametrize("span", [1, 45, _scan._SMALL_SPAN - 1])
+@pytest.mark.parametrize("span", [1, 45, _scan._SMALL_SPAN - 1, 199])
 def test_lone_curve_is_tiled_on_a_short_window(span, monkeypatch):
     # a lone curve is tiled whatever the width; only several curves share a block
     monkeypatch.setattr(_scan, "_block_candidates", None)
