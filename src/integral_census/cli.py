@@ -10,7 +10,10 @@ byte-identical JSON.
 Each subcommand declares only the options it reads, plus ``--out`` and
 ``--threads``: any other option exits 1, and so does a ``--config`` key or
 a code-bound ``--degree``/``--grid-size`` that the chosen mode would not read.
-Options are taken by their full names only, never abbreviated.
+Options are taken by their full names only, never abbreviated.  The allowed
+values of the numeric options are stated once, in ``_RULES``, and checked
+before any handler runs, so a bad value exits 1 before any work.  ``codes``
+and ``optimizer`` load scipy, so only their one reader each imports them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import codes, divpoly, heights, optimizer, points, repulsion
+from . import divpoly, heights, points, repulsion
 from .families import CurveModel, Family, naive_height
 from .points import CurvePoint
 
@@ -55,18 +58,9 @@ def _parse_curve(text: str) -> CurveModel:
     return curve
 
 
-def _x_bound(args) -> int:
-    x_bound = 10**4 if args.x_bound is None else args.x_bound
-    if x_bound < 1:
-        raise ValueError("--x-bound must be >= 1")
-    return x_bound
-
-
 def _T(args) -> float:
     if args.T is None:
         raise ValueError("--T required")
-    if not (math.isfinite(args.T) and args.T >= 1):
-        raise ValueError("--T must be finite and >= 1")
     return args.T
 
 
@@ -91,12 +85,39 @@ def _is_number(value) -> bool:
 
 # options read by more than one subcommand; each declares the ones it reads
 _SHARED = {
-    "--family": {"default": None},
+    "--family": {"choices": [fam.value for fam in Family], "default": None},
     "--T": {"type": float, "default": None},
-    "--x-bound": {"type": int, "default": None},
+    "--x-bound": {"type": int, "default": 10**4},
     "--delta": {"type": float, "default": 0.1},
     "--precision": {"type": float, "default": 1e-10},
 }
+
+
+# the allowed values of each option, keyed by its argparse dest; run checks them
+# before any handler, and a value that its predicate cannot read is not allowed
+_RULES = {
+    "T": (lambda T: math.isfinite(T) and T >= 1, "--T must be finite and >= 1"),
+    "x_bound": (lambda x: x >= 1, "--x-bound must be >= 1"),
+    "delta": (lambda d: 0 < d < 1, "--delta must lie in (0, 1)"),
+    "precision": (lambda p: 1e-14 <= p <= 1e-2, "--precision must lie in [1e-14, 1e-2]"),
+    "min_height": (lambda h: h == "auto" or math.isfinite(float(h)),
+                   "--min-height must be 'auto' or a finite number"),
+    "n_max": (lambda n: 2 <= n <= divpoly.PSI_N_MAX,
+              f"--n-max must lie in [2, {divpoly.PSI_N_MAX}]"),
+    # an empty grid would make the mod-3 check pass vacuously
+    "coeff_bound": (lambda c: c >= 1, "--coeff-bound must be >= 1"),
+}
+
+
+def _check_rules(args) -> None:
+    for dest, (allowed, message) in _RULES.items():
+        value = getattr(args, dest, None)
+        try:
+            ok = value is None or allowed(value)
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,6 +197,7 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
         parser.print_usage(sys.stderr)
         return 1, None
     try:
+        _check_rules(args)
         doc, text = _finalize(*_HANDLERS[args.subcommand](args))
         _emit(args, doc, text)
     except (ValueError, KeyError, OSError) as exc:
@@ -188,13 +210,10 @@ def run(argv: list[str]) -> tuple[int, dict | None]:
 
 
 def _emit(args, doc: dict, json_text: str) -> None:
-    # only census has --format, and only a family census has csv_rows
-    if getattr(args, "format", "json") == "csv" and "csv_rows" in doc["results"]:
-        rows = doc["results"]["csv_rows"]
+    # only census has --format, and it takes csv only for a family census
+    if getattr(args, "format", "json") == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in rows:
-            writer.writerow(row)
+        csv.writer(buf).writerows(doc["results"]["csv_rows"])
         text = buf.getvalue()
     else:
         text = json_text + "\n"
@@ -208,15 +227,16 @@ def _emit(args, doc: dict, json_text: str) -> None:
 def _family(args) -> Family:
     if args.family is None:
         raise ValueError("--family required")
-    return Family.from_token(args.family)
+    return Family(args.family)
 
 
 def _cmd_census(args) -> tuple[dict, dict]:
-    x_bound = _x_bound(args)
     if args.curve:
+        if args.format == "csv":
+            raise ValueError("--format csv needs --family: a single-curve census is JSON only")
         curve = _parse_curve(args.curve)
-        config = {"subcommand": "census", "curve": curve.to_record(), "x_bound": x_bound}
-        pts = points.integral_points(curve, x_bound)
+        config = {"subcommand": "census", "curve": curve.to_record(), "x_bound": args.x_bound}
+        pts = points.integral_points(curve, args.x_bound)
         results = {
             "points": [list(p) for p in pts],
             "integral_count": len(pts),
@@ -228,9 +248,9 @@ def _cmd_census(args) -> tuple[dict, dict]:
             "subcommand": "census",
             "family": fam.value,
             "T": T,
-            "x_bound": x_bound,
+            "x_bound": args.x_bound,
         }
-        summary = points.census(fam, T, x_bound)
+        summary = points.census(fam, T, args.x_bound)
         results = {
             "curve_count": summary.curve_count,
             "total_points": summary.total_points,
@@ -273,6 +293,8 @@ def _cmd_small_points(args) -> tuple[dict, dict]:
 
 def _cmd_heights(args) -> tuple[dict, dict]:
     curve = _parse_curve(args.curve)
+    if args.point.count(",") != 1:
+        raise ValueError(f"bad --point {args.point!r}, expected 'x,y'")
     x_str, y_str = args.point.split(",")
     what = f"point {args.point!r}"
     pt = CurvePoint(_fraction(x_str, what), _fraction(y_str, what))
@@ -297,9 +319,6 @@ def _cmd_heights(args) -> tuple[dict, dict]:
 def _cmd_gap_survey(args) -> tuple[dict, dict]:
     fam = _family(args)
     T = _T(args)
-    x_bound = _x_bound(args)
-    if not 0 < args.delta < 1:
-        raise ValueError("--delta must lie in (0, 1)")
     if args.min_height == "auto":
         min_height = (5 - args.delta) * math.log(T)
     else:
@@ -308,15 +327,18 @@ def _cmd_gap_survey(args) -> tuple[dict, dict]:
         "subcommand": "gap-survey",
         "family": fam.value,
         "T": T,
-        "x_bound": x_bound,
+        "x_bound": args.x_bound,
         "delta": args.delta,
         "min_height": min_height,
         "restricted": bool(args.restrict_filtered),
     }
+    # recorded only off the default, so a run at the default keeps its hash
+    if args.precision != _SHARED["--precision"]["default"]:
+        config["precision"] = args.precision
     results = repulsion.repulsion_survey(
         fam,
         T,
-        x_bound,
+        args.x_bound,
         min_height=min_height,
         precision_goal=args.precision,
         delta=args.delta,
@@ -326,8 +348,6 @@ def _cmd_gap_survey(args) -> tuple[dict, dict]:
 
 
 def _cmd_divpoly_verify(args) -> tuple[dict, dict]:
-    if not 2 <= args.n_max <= divpoly.PSI_N_MAX:
-        raise ValueError(f"--n-max must lie in [2, {divpoly.PSI_N_MAX}]")
     config = {
         "subcommand": "divpoly-verify",
         "n_max": args.n_max,
@@ -359,6 +379,7 @@ def _cmd_divpoly_verify(args) -> tuple[dict, dict]:
 
 
 def _cmd_code_bound(args) -> tuple[dict, dict]:
+    from . import codes  # imported by its one reader: it loads scipy
     config = {
         "subcommand": "code-bound",
         "theta": args.theta,
@@ -424,6 +445,7 @@ _CONFIG_KEYS = {"moment_caps", "floors", "density", "grid"} | _POINT_KEYS
 
 
 def _cmd_optimize(args) -> tuple[dict, dict]:
+    from . import optimizer  # imported by its one reader: it loads scipy
     overrides = _read_config_file(args.config) if args.config else {}
     if unknown := sorted(set(overrides) - _CONFIG_KEYS):
         raise ValueError(f"unknown --config keys {unknown}, expected some of {sorted(_CONFIG_KEYS)}")
@@ -500,14 +522,10 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
 
 def _cmd_verify_identities(args) -> tuple[dict, dict]:
     results: dict = {}
-    x_bound = _x_bound(args)
-    if args.coeff_bound < 1:
-        # an empty grid would make the mod-3 check pass vacuously
-        raise ValueError("--coeff-bound must be >= 1")
     config = {"subcommand": "verify-identities", "check": args.check}
     if args.check in ("mod3", "all"):
         # only the mod-3 sweep reads the grid and the scan window
-        config.update(coeff_bound=args.coeff_bound, x_bound=x_bound)
+        config.update(coeff_bound=args.coeff_bound, x_bound=args.x_bound)
         bound = args.coeff_bound
         grid = (
             CurveModel(a, b)
@@ -515,7 +533,7 @@ def _cmd_verify_identities(args) -> tuple[dict, dict]:
             for b in range(-bound, bound + 1)
         )
         curves = [c for c in grid if points.mod3_obstruction(c) and c.disc() != 0]
-        counts = [len(pts) for pts in points._points_per_curve(curves, x_bound)]
+        counts = [len(pts) for pts in points._points_per_curve(curves, args.x_bound)]
         results["mod3"] = {
             "curves_checked": len(curves),
             "all_empty": all(n == 0 for n in counts),

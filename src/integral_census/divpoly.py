@@ -297,23 +297,10 @@ def _wpow3_mul(lin: tuple[int, dict], p_cub: DivPoly) -> tuple[int, dict]:
 def _psi_val(n, x, y, a, b, memo) -> Fraction:
     if n in memo:
         return memo[n]
-    if n == 0:
-        v = Fraction(0)
-    elif n == 1:
-        v = Fraction(1)
-    elif n == 2:
-        v = 2 * y
-    elif n == 3:
-        v = 3 * x**4 + 6 * a * x**2 + 12 * b * x - a * a
-    elif n == 4:
-        v = 4 * y * (
-            x**6
-            + 5 * a * x**4
-            + 20 * b * x**3
-            - 5 * a * a * x**2
-            - 4 * a * b * x
-            - 8 * b * b
-            - a**3
+    if n in _BASE:
+        yf, w, terms = _BASE[n]
+        v = y**yf * sum(
+            c * x ** (w - 2 * fa - 3 * fb) * a**fa * b**fb for (fa, fb), c in terms.items()
         )
     elif n % 2 == 1:
         m = (n - 1) // 2
@@ -377,8 +364,8 @@ def verify_coeff_growth(
     """
     if not 2 <= n_max <= PSI_N_MAX:
         raise ValueError(f"n_max must lie in [2, {PSI_N_MAX}]")
-    if K1 <= 1 or K3 <= 1 or K2 < 0:
-        raise ValueError("require K1 > 1, K3 > 1, K2 >= 0")
+    if not (1 < K1 < math.inf and 0 <= K2 < math.inf and 1 < K3 < math.inf):
+        raise ValueError(f"require finite K1 > 1, K2 >= 0, K3 > 1; got K1={K1}, K2={K2}, K3={K3}")
     worst = 0.0
     witness = None
     log_k1, log_k3 = math.log(K1), math.log(K3)
@@ -403,10 +390,10 @@ def triple_root_identity_check(
     """Cross-check the two routes to psi3^2 (x(3Q) - x(R)) at sample_count
     random rational arguments (a fixed seed, so the check is repeatable).
 
-    Route one evaluates x(3Q) = x - psi2 psi4 / psi3^2 through the numeric
-    value recursion (y^2 eliminated via the curve equation); route two
-    evaluates the degree-9 polynomial assembled from the symbolic psi_n.
-    The polynomial is monic of x-degree 9.
+    Route one evaluates x(3Q) = x - psi2 psi4 / psi3^2 from closed forms
+    of psi3 and psi2 psi4 written out here, with y^2 eliminated via the
+    curve equation; route two evaluates the degree-9 polynomial assembled
+    from the symbolic psi_n.  The polynomial is monic of x-degree 9.
     """
     import random
 

@@ -50,13 +50,6 @@ class Family(Enum):
     B0 = "b0"
     CONGRUENT = "congruent"
 
-    @classmethod
-    def from_token(cls, token: str) -> "Family":
-        for fam in cls:
-            if fam.value == token:
-                return fam
-        raise ValueError(f"unknown family token {token!r}")
-
 
 @dataclass
 class FilterDiagnostics:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from integral_census import divpoly, optimizer, points
+from integral_census import divpoly, heights, optimizer, points, repulsion
 from integral_census.cli import _canonical_json, build_parser, run
+from integral_census.families import Family
 
 
 def _run(argv, capsys):
@@ -66,6 +67,28 @@ def test_census_family_json_and_csv(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0] == "a,b,naive_height,integral_count"
     assert len(lines) == 15
+
+
+def test_single_curve_census_rejects_csv(capsys):
+    status, doc = run(["census", "--curve", "0,-2", "--x-bound", "10", "--format", "csv"])
+    assert status == 1 and doc is None
+    assert "--format csv needs --family" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--T", "2"],
+        ["small-points", "--T", "2"],
+        ["gap-survey", "--T", "2", "--x-bound", "10"],
+    ],
+)
+def test_unknown_family_exits_1_listing_the_families(argv, capsys):
+    status, doc = run(argv + ["--family", "nosuch"])
+    assert status == 1 and doc is None
+    err = capsys.readouterr().err
+    assert "--family" in err and "nosuch" in err
+    assert all(fam.value in err for fam in Family)
 
 
 def test_bad_curve_spec_exits_1(capsys):
@@ -235,6 +258,14 @@ def test_heights_zero_denominator_point_exits_1(capsys):
     assert status == 1 and doc is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "1/0,1" in err
+
+
+@pytest.mark.parametrize("point", ["3", "3,5,1", ""])
+def test_heights_point_without_two_parts_exits_1(point, capsys):
+    status, doc = run(["heights", "--curve", "0,-2", "--point", point])
+    assert status == 1 and doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--point" in err
 
 
 def test_code_bound_methods(capsys):
@@ -552,6 +583,73 @@ def test_gap_survey_bad_delta_exits_1(delta, restricted, capsys):
     assert "--delta must lie in (0, 1)" in capsys.readouterr().err
 
 
+def test_gap_survey_hashes_a_precision_off_the_default(capsys):
+    argv = ["gap-survey", "--family", "mordell", "--T", "4", "--x-bound", "500"]
+    default = _run(argv, capsys)[1]
+    coarse = _run(argv + ["--precision", "1e-4"], capsys)[1]
+    assert "precision" not in default["config"]
+    assert _run(argv + ["--precision", "1e-10"], capsys)[1] == default
+    # the two precisions give different max_excess bits, so they must differ in config
+    assert coarse["results"] != default["results"]
+    assert coarse["config"] == {**default["config"], "precision": 1e-4}
+    assert coarse["content_hash"] != default["content_hash"]
+
+
+_GAP = ["gap-survey", "--family", "universal", "--T", "2", "--x-bound", "50", "--restrict-filtered"]
+# (argv, the text the error must contain) for values outside each option's rule;
+# nan and inf in an int option are argparse's to reject
+_OUT_OF_RULE = [
+    *[
+        ([*cmd, f"--T={v}"], "--T")
+        for cmd in (["census", "--family", "mordell"], ["small-points", "--family", "mordell"], _GAP)
+        for v in ("nan", "inf", "0.5")
+    ],
+    *[
+        ([*cmd, f"--x-bound={v}"], "--x-bound")
+        for cmd in (["census", "--curve", "0,-2"], _GAP, ["verify-identities", "--check", "mod3"])
+        for v in ("nan", "inf", "0", "-3")
+    ],
+    *[([*_GAP, f"--delta={v}"], "--delta") for v in ("nan", "inf", "0", "1")],
+    *[
+        ([*cmd, f"--precision={v}"], "--precision")
+        for cmd in (_GAP, ["heights", "--curve", "0,-2", "--point", "3,5"])
+        for v in ("nan", "inf", "5", "0")
+    ],
+    *[([*_GAP, f"--min-height={v}"], "--min-height") for v in ("nan", "inf", "-inf", "high")],
+    *[(["divpoly-verify", f"--n-max={v}"], "--n-max") for v in ("nan", "inf", "1", "33")],
+    *[(["verify-identities", f"--coeff-bound={v}"], "--coeff-bound") for v in ("nan", "inf", "0")],
+    *[
+        (["divpoly-verify", "--n-max", "4", f"--{k.lower()}={v}"], f"{k}={float(v)}")
+        for k, values in (("K1", ("nan", "inf", "1")), ("K2", ("nan", "inf", "-1")),
+                          ("K3", ("nan", "inf", "1")))
+        for v in values
+    ],
+]
+# every library entry point a handler reaches
+_ENTRY_POINTS = [
+    (points, "census"), (points, "integral_points"), (points, "small_point_statistics"),
+    (points, "_points_per_curve"), (heights, "canonical_height"),
+    (repulsion, "repulsion_survey"), (divpoly, "psi"), (divpoly, "verify_coeff_growth"),
+    (divpoly, "triple_root_identity_check"), (divpoly, "multiply_point"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", _OUT_OF_RULE, ids=[" ".join(argv) for argv, _ in _OUT_OF_RULE]
+)
+def test_value_outside_its_rule_exits_1_before_any_work(argv, named, monkeypatch, capsys):
+    def unreached(*args, **kwargs):
+        raise AssertionError("a library entry point was reached")
+
+    for module, name in _ENTRY_POINTS:
+        # the K1-K3 rule is verify_coeff_growth's own, checked before any psi_n
+        if not (named.startswith("K") and name == "verify_coeff_growth"):
+            monkeypatch.setattr(module, name, unreached)
+    status, doc = run(argv)
+    assert status == 1 and doc is None
+    assert named in capsys.readouterr().err
+
+
 def test_content_hash_excludes_runtime_fields(capsys):
     argv = ["census", "--family", "mordell", "--T", "3", "--x-bound", "100"]
     _, doc1, _ = _run(argv, capsys)
@@ -631,6 +729,21 @@ def test_subcommand_rejects_option_it_does_not_read(subcommand, option, capsys):
     status, doc = run(_BASE_ARGV[subcommand] + [option, _VALUE[option]])
     assert status == 1 and doc is None
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_cli_runs_leave_scipy_unloaded():
+    # codes and optimizer load scipy; only code-bound and optimize read them
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argvs = [
+        argv for name, argv in sorted(_BASE_ARGV.items()) if name not in ("code-bound", "optimize")
+    ]
+    argvs.append(["verify-identities", "--check", "all", "--coeff-bound", "2"])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from integral_census.cli import run\n"
+        f"for argv in {argvs!r}: assert run(argv)[0] == 0, argv\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, stdout=subprocess.DEVNULL)
 
 
 @pytest.mark.parametrize("subcommand", sorted(_BASE_ARGV))
