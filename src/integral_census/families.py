@@ -376,15 +376,26 @@ def _member_rows(family: Family, T: float) -> Iterator[tuple[int, list[int]]]:
             raise ValueError(f"T = {T!r} is too large: |b| <= {b_max} does not fit int64")
         return _universal_rows(a_max, b_max)
     if family is Family.MORDELL:
-        # _has_power(0, 6) is true: the singular b = 0 goes too
-        return iter([(0, [b for b in range(-b_max, b_max + 1) if not _has_power(b, 6)])])
+        return iter([(0, _power_free(b_max, 6))])
     if family is Family.B0:
-        return ((a, [0]) for a in range(-a_max, a_max + 1) if not _has_power(a, 4))
+        return ((a, [0]) for a in _power_free(a_max, 4))
     if family is Family.CONGRUENT:
         # a = -D^2, so 4|a|^3 <= T^6 exactly when D^2 <= a_max
         d_max = math.isqrt(a_max)
         return ((-d * d, [0]) for d in range(1, d_max + 1) if _squarefree_positive(d))
     raise ValueError(family)
+
+
+def _power_free(n_max: int, k: int) -> list[int]:
+    """The n with 0 < |n| <= n_max and no p^k | n, ascending: the n for which
+    _has_power(n, k) is false, by striking the multiples of each m^k <= n_max
+    (composite m strike nothing new) instead of factoring each n."""
+    keep = np.ones(2 * n_max + 1, dtype=bool)
+    keep[n_max] = False  # n = 0, singular in both families
+    for m in range(2, _iroot(n_max, k) + 1):
+        # index n + n_max; the least multiple of m^k above -n_max - 1 sits at n_max % m^k
+        keep[n_max % m**k :: m**k] = False
+    return (np.flatnonzero(keep) - n_max).tolist()
 
 
 def _universal_rows(a_max: int, b_max: int) -> Iterator[tuple[int, list[int]]]:

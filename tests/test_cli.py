@@ -154,6 +154,18 @@ def test_T_past_int64_rows_exits_1(argv, capsys):
     assert "does not fit int64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["small-points", "--family", "congruent", "--T", "1"],
+        ["small-points", "--family", "b0", "--T", "1", "--exponent", "0"],
+    ],
+)
+def test_small_points_on_an_empty_slice_exits_1(argv, capsys):
+    assert run(argv) == (1, None)
+    assert capsys.readouterr().err == "error: empty family slice\n"
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     status, doc = run(["optimize", "--config", str(tmp_path / "absent.cfg")])
     assert status == 1 and doc is None

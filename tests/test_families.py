@@ -132,6 +132,28 @@ def test_enumerate_equals_brute_force_walk(family, T):
     assert list(enumerate_family(family, T)) == _brute_force_members(family, T)
 
 
+@pytest.mark.parametrize("k", [4, 6])
+def test_power_free_rows_match_has_power(k):
+    n_max = 10**5
+    want = [n for n in range(-n_max, n_max + 1) if not families._has_power(n, k)]
+    assert families._power_free(n_max, k) == want
+    # below 2^k nothing is struck but the singular 0
+    assert families._power_free(2**k - 1, k) == [n for n in range(1 - 2**k, 2**k) if n]
+    assert families._power_free(0, k) == []
+
+
+@pytest.mark.parametrize("T", [2, 5, 20, 60])
+@pytest.mark.parametrize("family", [Family.MORDELL, Family.B0])
+def test_mordell_and_b0_rows_match_membership(family, T):
+    a_max, b_max = families._coeff_bounds(T)
+    if family is Family.MORDELL:
+        box = [CurveModel(0, b) for b in range(-b_max, b_max + 1)]
+    else:
+        box = [CurveModel(a, 0) for a in range(-a_max, a_max + 1)]
+    want = [c for c in box if is_family_member(c, family)]
+    assert list(enumerate_family(family, T)) == want
+
+
 @pytest.mark.parametrize("T", [11.198423241934007, 18.898815748423097])
 def test_coefficient_bounds_compare_t6_exactly(T):
     """T^6 / 4 rounded to 53 bits let a = +-79 in at the first T, although

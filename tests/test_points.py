@@ -303,6 +303,62 @@ def test_small_point_statistics_scans_the_family_at_once(family, T, scan_calls):
     assert scan_calls == ["scan_curves"]
 
 
+@pytest.mark.parametrize(
+    "family, T, exponent",
+    [
+        # rows of 125 to 127 curves are scanned, rows of 130 to 133 counted
+        (Family.UNIVERSAL, 6.9, 2),
+        (Family.UNIVERSAL, 7, 2),
+        (Family.UNIVERSAL, 7, 3),
+        # exponent 0 is the window |x| <= 1
+        (Family.UNIVERSAL, 8, 0),
+        (Family.MORDELL, 20, 0),
+        # one row of 3,026 curves over |x| <= 8000: v + b_lo < 0 and
+        # v + b_hi < 0 at negative x, and y = 0 where -x^3 is a member b
+        (Family.MORDELL, 20, 3),
+        # rows of one curve: all scanned
+        (Family.B0, 20, 3),
+        (Family.CONGRUENT, 20, 3),
+    ],
+)
+def test_small_point_statistics_matches_per_curve_points(family, T, exponent):
+    x_cut = max(1, int(T**exponent))
+    curves = list(enumerate_family(family, T))
+    want = sum(len(integral_points(c, x_cut)) for c in curves)
+    stats = small_point_statistics(family, T, exponent)
+    assert (stats["triple_count"], stats["family_size"]) == (want, len(curves))
+
+
+@pytest.mark.parametrize(
+    "family, T, exponent, scanned",
+    [
+        # every universal T = 8 row holds 194 curves or more: the scan gets none
+        (Family.UNIVERSAL, 8, 1.5, 0),
+        # every T = 6.9 row holds 127 or fewer: the scan gets all 7,484 curves
+        (Family.UNIVERSAL, 6.9, 2, 7484),
+        (Family.B0, 20, 1.5, 466),
+    ],
+)
+def test_small_point_statistics_scans_only_the_narrow_rows(family, T, exponent, scanned, monkeypatch):
+    sent = []
+    scan_curves = _scan.scan_curves
+
+    def recording(a, b, lo, hi):
+        sent.append(len(a))
+        return scan_curves(a, b, lo, hi)
+
+    monkeypatch.setattr(_scan, "scan_curves", recording)
+    small_point_statistics(family, T, exponent)
+    assert sent == [scanned]
+
+
+@pytest.mark.parametrize("family, T", [(Family.CONGRUENT, 1), (Family.B0, 1), (Family.UNIVERSAL, 1)])
+def test_small_point_statistics_rejects_an_empty_slice_before_scanning(family, T, scan_calls):
+    with pytest.raises(ValueError, match="empty family slice"):
+        small_point_statistics(family, T, 0)
+    assert scan_calls == []
+
+
 @pytest.mark.parametrize("T", [math.inf, math.nan, 0.5])
 def test_small_point_statistics_rejects_bad_T(T):
     with pytest.raises(ValueError, match="T must be finite and >= 1"):
