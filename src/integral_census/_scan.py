@@ -8,20 +8,18 @@ Number Theory*, section 1.7.2.  The tables are bit-packed: row
 byte c holds x = 8c, ..., 8c + 7 mod m, most significant bit first.  So
 the byte that holds x = 8q, ..., 8q + 7 of any window is byte q mod m of
 the row, for every modulus, and the sieve ANDs whole bytes: eight x-values
-per byte.  Both ways of applying the tables sieve a block of curves per
-numpy pass, at most ``_CHUNK`` (curve, x) cells, and the window's width
-picks one:
+per byte.
 
-- a lone curve, or a window of ``_SMALL_SPAN`` x-values or more, is tiled:
-  each curve's row bytes are repeated along the window, sliced at the
-  window's byte phase and ANDed over the moduli; the block starts at its
-  own Cauchy floor, and a lone curve past ``_CHUNK`` x-values goes chunk by
-  chunk;
-- several curves on a shorter window are gathered: one flat ``take`` per
-  modulus reads each curve's row at the window's bytes, and the blocks are
-  ANDed over the moduli.
+The sieve tiles a block of curves per numpy pass, at most ``_CHUNK``
+(curve, x) cells: each curve's row bytes are repeated along the window,
+sliced at the window's byte phase and ANDed over the moduli.  A block
+starts at its own Cauchy floor, and a lone curve past ``_CHUNK`` x-values
+goes chunk by chunk.  A tiled curve holds at least two periods of each of
+its rows, about 524 bytes over the seven moduli, however short the window,
+so a block takes its curves as if the window were at least ``_MIN_SPAN``
+x-values wide: that caps a block's memory on a short window of many curves.
 
-Both give one byte mask per pass to one confirm step.  It unpacks only the
+Each pass gives one byte mask to one confirm step.  It unpacks only the
 nonzero bytes, skips the bits of the window's end bytes that lie outside
 it, and tests each surviving (curve, x), about 0.1% of a long window, with
 ``math.isqrt`` on Python ints.  Residues are taken on Python ints and each
@@ -39,12 +37,13 @@ _MODULI = (64, 63, 65, 11, 17, 19, 23)
 _M = np.array(_MODULI)[:, None]
 # the moduli are pairwise coprime: c % _MODULUS fits an int64 and keeps every c % m
 _MODULUS = math.prod(_MODULI)
-# cells (x-values, or curve-by-x pairs) sieved per numpy pass; bounds the scan's working memory
+# cells (x-values, or curve-by-x pairs) sieved per numpy pass; with _MIN_SPAN it
+# bounds the scan's working memory at every window width
 _CHUNK = 1 << 17
-# several curves are gathered only on a window shorter than this, and tiled from
-# it on: over the 15,936 universal T = 8 curves gathering is faster up to about
-# 120 x-values and tiling from about 136 on.  A lone curve is tiled at any width.
-_SMALL_SPAN = 128
+# a block holds at most _CHUNK // _MIN_SPAN curves: a tiled curve keeps at least two
+# periods of each row, about 524 bytes, however short its window, and a block of
+# that many curves is already the worst case of a pass, the one on a 128-wide window
+_MIN_SPAN = 128
 
 
 def _packed_rows(m: int) -> np.ndarray:
@@ -90,10 +89,10 @@ def _set_bits(mask: np.ndarray):
 
 
 def _tiled_candidates(a_seq, b_seq, x_lo: int, x_hi: int):
-    """The sieve passes (s, lo, q, mask) of the tiled regime: bit j of row i
-    of mask is set when x = 8 q + j passes every residue table for curve
-    s + i; only x in [lo, x_hi] belong to the window."""
-    step = max(1, _CHUNK // (x_hi - x_lo + 1))
+    """The sieve passes (s, lo, q, mask): bit j of row i of mask is set when
+    x = 8 q + j passes every residue table for curve s + i; only x in
+    [lo, x_hi] belong to the window."""
+    step = max(1, _CHUNK // max(x_hi - x_lo + 1, _MIN_SPAN))
     for s in range(0, len(a_seq), step):
         a, b = a_seq[s : s + step], b_seq[s : s + step]
         # every real root has |x| < 1 + max(|a|, |b|) (Cauchy), so below the
@@ -120,34 +119,10 @@ def _tiled_candidates(a_seq, b_seq, x_lo: int, x_hi: int):
             )
 
 
-def _block_candidates(a_seq, b_seq, x_lo: int, x_hi: int):
-    """The sieve passes (s, x_lo, q, mask) of the gathered regime, as
-    ``_tiled_candidates`` gives them."""
-    q_lo, q_hi = x_lo // 8, x_hi // 8
-    # cols[j]: the byte of a table-j row that each byte of the window reads
-    cols = (np.array([q_lo % m for m in _MODULI])[:, None] + np.arange(q_hi - q_lo + 1)) % _M
-    step = max(1, _CHUNK // (x_hi - x_lo + 1))
-    for s in range(0, len(a_seq), step):
-        yield s, x_lo, q_lo, functools.reduce(
-            np.bitwise_and,
-            (
-                table.take((i * m)[:, None] + col)
-                for m, table, i, col in zip(
-                    _MODULI, _TABLES, _rows(a_seq[s : s + step], b_seq[s : s + step]), cols
-                )
-            ),
-        )
-
-
 def scan_curves(a_seq, b_seq, x_lo: int, x_hi: int):
     """Yield (i, x, y) with y >= 0 and y^2 = x^3 + a_seq[i] x + b_seq[i],
     for every curve i and x in [x_lo, x_hi], in (i, x) order."""
-    n = x_hi - x_lo + 1
-    if n < 1:
-        return
-    blocks = len(a_seq) > 1 and n < _SMALL_SPAN
-    candidates = _block_candidates if blocks else _tiled_candidates
-    for s, lo, q, mask in candidates(a_seq, b_seq, x_lo, x_hi):
+    for s, lo, q, mask in _tiled_candidates(a_seq, b_seq, x_lo, x_hi):
         base = 8 * q
         # the end bytes hold bits outside [lo, x_hi]
         head, stop = lo - base, x_hi + 1 - base

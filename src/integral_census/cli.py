@@ -480,6 +480,9 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         config["floors"] = floors
     if "density" in overrides:
         model.density = _fraction(overrides["density"], "density").limit_denominator(10**6)
+        # the search prunes on density * sum_r p_r b_r as a non-negative lower bound
+        if not 0 < model.density <= 1:
+            raise ValueError(f"density must be in (0, 1], got {overrides['density']!r}")
         config["density"] = str(model.density)
     if args.search:
         grid = overrides.get("grid")

@@ -5,10 +5,8 @@ numpy quadratic-residue sieve discards almost every x, and big-int
 ``math.isqrt`` confirms the rest, at any magnitude.  ``census`` scans its
 whole curve list over |x| <= x_bound in one ``scan_curves`` call;
 ``integral_points`` is the same scan over a list of one curve.  The scan
-reads bit-packed residue tables, eight x-values per byte, and sieves many
-curves per numpy pass either way: tiled on a window of
-``_scan._SMALL_SPAN`` x-values or more, and gathered as (curve, byte)
-blocks on a shorter one.
+reads bit-packed residue tables, eight x-values per byte, and sieves a
+tiled block of curves per numpy pass at any window width.
 
 ``small_point_statistics`` only counts, over |x| <= T^exponent.  In a
 family row (a, [b...]) a point at x fixes b = y^2 - x^3 - a x, so a wide

@@ -396,6 +396,19 @@ def test_optimize_config_density_fraction(tmp_path, capsys):
     assert doc["results"]["aggregate"] == pytest.approx(2 / 3, abs=1e-12)
 
 
+@pytest.mark.parametrize("value, aggregate", [("-1", None), ("0", None), ("3", None), ("1", 1.0)])
+def test_optimize_config_density_outside_0_1_exits_1(tmp_path, capsys, value, aggregate):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"density = {value}\n")
+    status, doc = run(["optimize", "--model", "minimalist", "--config", str(cfg)])
+    if aggregate is None:
+        assert status == 1 and doc is None
+        assert "density must be in (0, 1]" in capsys.readouterr().err
+    else:
+        assert status == 0
+        assert doc["results"]["aggregate"] == pytest.approx(aggregate, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "line, key, recorded",
     [

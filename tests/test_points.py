@@ -88,10 +88,8 @@ def test_scan_backends_agree():
             assert y >= 0 and y * y == x**3 + a * x + b
 
 
-@pytest.mark.parametrize("span", [1, 45, _scan._SMALL_SPAN - 1, 199])
-def test_lone_curve_is_tiled_on_a_short_window(span, monkeypatch):
-    # a lone curve is tiled whatever the width; only several curves share a block
-    monkeypatch.setattr(_scan, "_block_candidates", None)
+@pytest.mark.parametrize("span", [1, 45, _scan._MIN_SPAN - 1, 199])
+def test_lone_curve_is_tiled_on_a_short_window(span):
     for a, b in [(0, -2), (-2, 5), (1, 6), (-7, 10), (0, 17), (-1, 0), (-17, 10**20)]:
         for x_lo in (-span // 2, 3 - span, 10**19):
             x_hi = x_lo + span - 1
@@ -104,15 +102,15 @@ def test_scan_big_integers():
     x = 10**8 + 7
     b = 123**2 - x**3
     assert _scan_py.scan_range(0, b, x - 5, x + 5) == [(x, 123)]
-    # a span above the small-span cutoff goes through the sieve
+    # and the sieve finds it on a wider window
     assert _scan.scan_range(0, b, x - 500, x + 500) == [(x, 123)]
 
 
 _SPANS = [
     1,
-    _scan._SMALL_SPAN - 1,
-    _scan._SMALL_SPAN,
-    _scan._SMALL_SPAN + 1,
+    _scan._MIN_SPAN - 1,
+    _scan._MIN_SPAN,
+    _scan._MIN_SPAN + 1,
     _scan._CHUNK - 1,
     _scan._CHUNK + 1,
 ]
@@ -127,7 +125,7 @@ def _scan_cases(draw):
     """Curves that share one x-window, some with a planted point in it, and
     how many curves a block holds (None: as many as ``_CHUNK`` allows)."""
     if draw(st.booleans()):
-        span = draw(st.sampled_from([s for s in _SPANS if s >= _scan._SMALL_SPAN]))
+        span = draw(st.sampled_from([s for s in _SPANS if s >= _scan._MIN_SPAN]))
         x_lo = draw(st.integers(-3000, 3000))
         coeff = st.one_of(_SMALL_COEFF, _COEFF)
         per_block = st.integers(1, 8)
@@ -155,9 +153,9 @@ def _scan_cases(draw):
     return a, b, x_lo, span, draw(per_block)
 
 
-# curves y^2 = x^3 + i x + 1, each through (0, 1), one more than a block of _CHUNK cells holds
-_SPAN_BELOW = _scan._SMALL_SPAN - 1
-_OVER_ONE_BLOCK = _scan._CHUNK // _SPAN_BELOW + 1
+# curves y^2 = x^3 + i x + 1, each through (0, 1), one more than a block holds on a short window
+_SPAN_BELOW = _scan._MIN_SPAN - 1
+_OVER_ONE_BLOCK = _scan._CHUNK // _scan._MIN_SPAN + 1
 
 
 @given(_scan_cases())
@@ -166,8 +164,8 @@ _OVER_ONE_BLOCK = _scan._CHUNK // _SPAN_BELOW + 1
 )
 # (-2, 1) on y^2 = x^3 + 9 lies below the floor -1 of y^2 = x^3 + 1: one block
 # takes the lower floor, and two blocks of one curve each take their own
-@example(([0, 0], [1, 9], -100, _scan._SMALL_SPAN, 2))
-@example(([0, 0], [1, 9], -100, _scan._SMALL_SPAN, 1))
+@example(([0, 0], [1, 9], -100, _scan._MIN_SPAN, 2))
+@example(([0, 0], [1, 9], -100, _scan._MIN_SPAN, 1))
 # a lone curve's point alone in its second chunk, which starts at another phase
 @example(([0], [25 - 70000**3], 70000 - _scan._CHUNK, _scan._CHUNK + 1, None))
 @settings(max_examples=80, deadline=None)
@@ -175,8 +173,9 @@ def test_sieve_matches_reference_scan(case):
     a, b, x_lo, span, per_block = case
     x_hi = x_lo + span - 1
     want = [_scan_py.scan_range(a[i], b[i], x_lo, x_hi) for i in range(len(a))]
-    # a block of per_block curves puts block boundaries among a few dozen curves
-    chunk = _scan._CHUNK if per_block is None else per_block * span
+    # a block of per_block curves puts block boundaries among a few dozen curves;
+    # a block is sized as if its window were at least _MIN_SPAN wide
+    chunk = _scan._CHUNK if per_block is None else per_block * max(span, _scan._MIN_SPAN)
     with mock.patch.object(_scan, "_CHUNK", chunk):
         found = list(_scan.scan_curves(a, b, x_lo, x_hi))
     assert found == [(i, x, y) for i, pts in enumerate(want) for x, y in pts]
@@ -222,7 +221,7 @@ def _reference(a, b, x_lo, x_hi):
 
 def _edge_windows():
     """Windows with each end at every residue mod 8, one-x windows, and
-    windows at negative x and past int64, all shorter than _SMALL_SPAN."""
+    windows at negative x and past int64, all shorter than _MIN_SPAN."""
     for base in (40, -104, -(10**19) - 8, 10**19 - 10**19 % 8):
         for r_lo in range(8):
             for r_hi in range(8):
@@ -231,25 +230,16 @@ def _edge_windows():
         yield x, x
 
 
-@pytest.mark.parametrize("regime", ["tiled", "gathered"])
-def test_scan_window_edges_match_reference(regime, monkeypatch):
-    # several curves on a short window are gathered; force each regime
-    if regime == "tiled":
-        monkeypatch.setattr(_scan, "_SMALL_SPAN", 0)
-        monkeypatch.setattr(_scan, "_block_candidates", None)
-    else:
-        monkeypatch.setattr(_scan, "_SMALL_SPAN", 10**9)
-        monkeypatch.setattr(_scan, "_tiled_candidates", None)
+def test_scan_window_edges_match_reference():
     for x_lo, x_hi in _edge_windows():
         # points just outside the window share its end bytes, except at a byte boundary
         a, b = _planted_curves([x_lo - 1, x_lo, x_hi, x_hi + 1, (x_lo + x_hi) // 2])
         want = _reference(a, b, x_lo, x_hi)
         assert {x for _, x, _ in want} >= {x_lo, x_hi}
         assert list(_scan.scan_curves(a, b, x_lo, x_hi)) == want, (x_lo, x_hi)
-        if regime == "tiled":
-            for i in range(len(a)):
-                want_i = [(x, y) for j, x, y in want if j == i]
-                assert _scan.scan_range(a[i], b[i], x_lo, x_hi) == want_i, (x_lo, x_hi, i)
+        for i in range(len(a)):
+            want_i = [(x, y) for j, x, y in want if j == i]
+            assert _scan.scan_range(a[i], b[i], x_lo, x_hi) == want_i, (x_lo, x_hi, i)
 
 
 @pytest.mark.parametrize("chunk", [None, 201])
@@ -263,17 +253,30 @@ def test_scan_skips_a_block_whose_cauchy_floor_is_above_the_window(chunk):
     with mock.patch.object(_scan, "_CHUNK", chunk or _scan._CHUNK):
         assert list(_scan.scan_curves(a, b, x_lo, x_hi)) == want
         assert list(_scan.scan_curves(a[1:], b[1:], x_lo, x_hi)) == []
+        # an empty window: every block's floor is above it
+        assert list(_scan.scan_curves(a, b, x_hi, x_lo)) == []
+
+
+_UNIVERSAL_T8 = list(enumerate_family(Family.UNIVERSAL, 8))
 
 
 @pytest.mark.parametrize(
-    "curves, x_bound",
-    [(list(enumerate_family(Family.UNIVERSAL, 4)), 3000), ([CurveModel(0, -2)], 2_000_000)],
-    ids=["census-T4", "fermat"],
+    "curves, x_bound, bytes_per_cell",
+    [
+        # seven tiles of a pass hold about an eighth of a byte per cell each
+        (list(enumerate_family(Family.UNIVERSAL, 4)), 3000, 2),
+        ([CurveModel(0, -2)], 2_000_000, 2),
+        # on a short window each curve still tiles about 524 bytes of rows
+        (_UNIVERSAL_T8, 3, 12),
+        (_UNIVERSAL_T8, 22, 12),
+    ],
+    ids=["census-T4", "fermat", "T8-x3", "T8-x22"],
 )
-def test_scan_working_memory_is_bounded_by_chunk(curves, x_bound):
+def test_scan_working_memory_is_bounded_by_chunk(curves, x_bound, bytes_per_cell):
     a, b = [c.a for c in curves], [c.b for c in curves]
     want = list(_scan.scan_curves(a, b, -x_bound, x_bound))
-    # 2^15 cells a pass: blocks of 5 census curves, or 62 chunks of the lone curve
+    # 2^15 cells a pass: blocks of 5 census curves, 62 chunks of the lone curve,
+    # or blocks of 256 T = 8 curves, sized as if the window were _MIN_SPAN wide
     chunk = 1 << 15
     with mock.patch.object(_scan, "_CHUNK", chunk):
         assert list(_scan.scan_curves(a, b, -x_bound, x_bound)) == want
@@ -283,8 +286,7 @@ def test_scan_working_memory_is_bounded_by_chunk(curves, x_bound):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # seven tiles of a pass hold about an eighth of a byte per cell each
-    assert peak < 2 * chunk
+    assert peak < bytes_per_cell * chunk
 
 
 @pytest.mark.parametrize(
@@ -396,7 +398,7 @@ def test_census_universal_T2():
 
 @pytest.mark.parametrize("x_bound", [40, 1000])
 def test_census_scans_its_curves_at_once(x_bound, scan_calls):
-    # 1000 tiles blocks of 32 curves, 40 shares (curve, x) blocks; a curve may repeat
+    # at 1000 a block holds 65 curves, at 40 all 602; a curve may repeat
     family = list(enumerate_family(Family.UNIVERSAL, 4))
     curves = family + family[::7] + [CurveModel(0, -2)] * 2 + family[:3]
     want = [integral_points(c, x_bound) for c in curves]
