@@ -3,13 +3,12 @@
 Every run emits a JSON document containing the validated config and a
 content hash of (config, results).  The LP code bounds of one theta are
 solved concurrently, and the output never depends on the number of
-threads; the output path and the accepted-but-ignored ``--threads`` flag
-are excluded from the document, so identical computations produce
-byte-identical JSON.
+threads; the output path is excluded from the document, so identical
+computations produce byte-identical JSON.
 
-Each subcommand declares only the options it reads, plus ``--out`` and
-``--threads``: any other option exits 1, and so does a ``--config`` key or
-a code-bound ``--degree``/``--grid-size`` that the chosen mode would not read.
+Each subcommand declares only the options it reads, plus ``--out``: any
+other option exits 1, and so does a ``--config`` key or a code-bound
+``--degree``/``--grid-size`` that the chosen mode would not read.
 Options are taken by their full names only, never abbreviated.  The allowed
 values of the numeric options are stated once, in ``_RULES``, and checked
 before any handler runs, so a bad value exits 1 before any work.  ``codes``
@@ -127,12 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand")
-    # every subcommand takes these two, and neither enters the report
+    # every subcommand takes --out, and it does not enter the report
     io_opts = argparse.ArgumentParser(add_help=False)
-    io_opts.add_argument(
-        "--threads", type=int, default=1,
-        help="ignored; the output never depends on the number of threads",
-    )
     io_opts.add_argument("--out", default=None)
 
     def add(name: str, *shared: str) -> argparse.ArgumentParser:
@@ -492,18 +487,20 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
                 and all(isinstance(v, list) and all(map(_is_number, v)) for v in grid.values())
             ):
                 raise ValueError(f"grid must map parameter names to lists of numbers, got {grid!r}")
+            if unknown := sorted(set(grid) - _POINT_KEYS):
+                raise ValueError(f"unknown grid keys {unknown}, expected some of {sorted(_POINT_KEYS)}")
             config["grid"] = grid
         report = optimizer.optimize(model, grid)
     else:
-        try:
-            params = optimizer.OptimizerParams(
-                c=float(overrides.get("c", optimizer.REFERENCE_PARAMS.c)),
-                D=float(overrides.get("D", optimizer.REFERENCE_PARAMS.D)),
-                s=int(overrides.get("s", optimizer.REFERENCE_PARAMS.s)),
-                J_default=float(overrides.get("J", 1.2)),
-            )
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"c, D, s and J must be numbers: {exc}") from exc
+        ref = optimizer.REFERENCE_PARAMS
+        # c, D and J enter the config as floats, so "D = 700" hashes as "D = 700.0";
+        # OptimizerParams rejects a value outside the parameter domain
+        c, D, J = (
+            float(v) if _is_number(v) else v
+            for v in (overrides.get("c", ref.c), overrides.get("D", ref.D),
+                      overrides.get("J", ref.J_default))
+        )
+        params = optimizer.OptimizerParams(c=c, D=D, s=overrides.get("s", ref.s), J_default=J)
         config.update(c=params.c, D=params.D, s=params.s, J=params.J_default)
         report = optimizer.aggregate_bound(model, params)
     results = {

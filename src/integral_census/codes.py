@@ -201,10 +201,12 @@ def lp_bound(
     """
     if not 2 <= r <= _LP_R_MAX:
         raise ValueError(f"lp_bound supports 2 <= r <= {_LP_R_MAX}")
-    if not 2 <= degree <= 40:
-        raise ValueError("lp_bound supports 2 <= degree <= 40")
-    if grid_size < 200:
-        raise ValueError("grid_size must be >= 200")
+    # f has even degrees only: an odd degree would solve the LP one below it
+    if not 2 <= degree <= 40 or degree % 2:
+        raise ValueError(f"lp_bound supports an even degree, 2 <= degree <= 40, got {degree}")
+    # 100,000 nodes took 1.5 s and 365 MB peak RSS at r = 5 (2-core x86-64 VM)
+    if not 200 <= grid_size <= 100_000:
+        raise ValueError(f"grid_size must lie in [200, 100000], got {grid_size}")
     if not 0 < theta < math.pi / 2 + _THETA_EDGE:
         raise ValueError("theta out of domain")
     ct = math.cos(theta)

@@ -16,6 +16,8 @@ from typing import Iterator
 import mpmath as mp
 import numpy as np
 
+from . import _scan
+
 __all__ = [
     "CurveModel",
     "Family",
@@ -428,12 +430,15 @@ def _is_square(n: int) -> bool:
 
 @functools.lru_cache(maxsize=128)
 def _cutoffs(T: float, delta: float) -> tuple[int, ...]:
-    """The T-only filter thresholds of filter_diagnostics as exact integers.
+    """The filter thresholds of filter_diagnostics at a valid (T, delta), as integers.
 
     mpmath compares an int with an mpf exactly, so for every integer n,
     n >= t iff n >= ceil(t) and n <= t iff n <= floor(t): the integer
     cutoffs give the same verdicts as the 30-digit powers themselves.
     """
+    if not 0 < delta < 1:
+        raise ValueError("delta must lie in (0, 1)")
+    _check_T(T)
     with mp.workdps(30):
         Tm = mp.mpf(T)
         return (
@@ -456,36 +461,32 @@ def filter_diagnostics(
     T: float,
     delta: float,
     x_bound_cap: int | None = None,
-    lazy: bool = False,
 ) -> FilterDiagnostics:
     """Evaluate the size/shape flags and the small-point flags.
 
     The thresholds T^(2-delta), T^(3-delta), ... are exact integer cutoffs,
     computed once per (T, delta) and compared with the curve's integers.
 
-    With lazy=True the expensive checks (factorization, point searches) are
-    skipped as soon as a cheap size flag has already failed; the skipped
-    flags are reported False, which is sound for passes_size/passes_all
-    consumers.
+    The expensive checks (factorization, point searches) are skipped once a
+    cheap size flag has failed, and reported False: sound for passes_size
+    and passes_all.  An x_bound_cap below 1 is rejected before any flag.
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    _check_T(T)
     a_min, b_min, gcd_max, disc_min, sf_max, x_cut, num_cut, den_cut = _cutoffs(T, delta)
+    if x_bound_cap is not None:
+        if x_bound_cap < 1:
+            raise ValueError("x_bound_cap must be >= 1")
+        x_cut = min(x_cut, x_bound_cap)
     a, b = curve.a, curve.b
     disc = curve.disc()
     a_big = abs(a) >= a_min
     b_big = abs(b) >= b_min and not _is_square(b)
     gcd_small = math.gcd(a, b) <= gcd_max
     disc_big = abs(disc) >= disc_min
-    if lazy and not (a_big and b_big and gcd_small and disc_big):
+    if not (a_big and b_big and gcd_small and disc_big):
         return FilterDiagnostics((a_big, b_big, gcd_small, disc_big, False), False, False)
     sf_small = squarefull_part(disc) <= sf_max
-    if x_bound_cap is not None:
-        x_cut = min(x_cut, x_bound_cap)
-    from . import points  # local import: avoid a cycle at module load
-
-    small_int = len(points.integral_points(curve, x_cut)) == 0
+    # the scan's first point, if any, settles the flag
+    small_int = next(_scan.scan_curves([a], [b], -x_cut, x_cut), None) is None
     small_rat = not _has_small_rational_point(curve, num_cut, den_cut)
     return FilterDiagnostics((a_big, b_big, gcd_small, disc_big, sf_small), small_int, small_rat)
 

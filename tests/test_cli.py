@@ -318,6 +318,18 @@ def test_code_bound_lp_rejects_a_constant_polynomial(degree, capsys):
     assert "2 <= degree <= 40" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, named",
+    [(["--degree", "3"], "even degree"), (["--grid-size", "100001"], "grid_size must")],
+)
+def test_code_bound_lp_rejects_an_odd_degree_and_a_grid_past_its_bound(option, named, capsys):
+    # degree 3 would solve the degree-2 LP and report degree 3
+    argv = ["code-bound", "--theta", "1.0", "--method", "lp", "--r", "3"]
+    status, doc = run(argv + option)
+    assert status == 1 and doc is None
+    assert named in capsys.readouterr().err
+
+
 def test_code_bound_kl_leaves_out_the_r_it_ignores(capsys):
     argv = ["code-bound", "--theta", "1.0", "--method", "kl"]
     status, bare, _ = _run(argv, capsys)
@@ -384,6 +396,32 @@ def test_optimize_config_bad_shape_exits_1(tmp_path, capsys, line, search):
     status, doc = run(argv + ["--search"] * search)
     assert status == 1 and doc is None
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "line, search, named",
+    [
+        ("c = 1", False, "c must"),
+        ("c = true", False, "c must"),
+        ("c = 1.5", False, "c must"),
+        ("D = 1", False, "D must"),
+        ("s = 3.7", False, "s must"),
+        ("s = 0", False, "s must"),
+        ("J = 2", False, "J must"),
+        ('grid = {"s": [3.5]}', True, "s must"),
+        ('grid = {"c": [0.99, 1.0]}', True, "c must"),
+        ('grid = {"X": [1.0], "J": [1.25]}', True, "unknown grid keys ['X']"),
+    ],
+)
+def test_optimize_config_outside_the_parameter_domain_exits_1(
+    tmp_path, capsys, line, search, named
+):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    argv = ["optimize", "--model", "minimalist", "--config", str(cfg)]
+    status, doc = run(argv + ["--search"] * search)
+    assert status == 1 and doc is None
+    assert named in capsys.readouterr().err
 
 
 def test_optimize_config_density_fraction(tmp_path, capsys):
@@ -675,10 +713,10 @@ def test_value_outside_its_rule_exits_1_before_any_work(argv, named, monkeypatch
     assert named in capsys.readouterr().err
 
 
-def test_content_hash_excludes_runtime_fields(capsys):
+def test_content_hash_excludes_runtime_fields(tmp_path, capsys):
     argv = ["census", "--family", "mordell", "--T", "3", "--x-bound", "100"]
     _, doc1, _ = _run(argv, capsys)
-    _, doc2, _ = _run(argv + ["--threads", "4"], capsys)
+    _, doc2, _ = _run(argv + ["--out", str(tmp_path / "r.json")], capsys)
     assert _canonical_json(doc1) == _canonical_json(doc2)
 
 
@@ -736,6 +774,7 @@ _VALUE = {
     "--delta": "0.1",
     "--precision": "1e-10",
     "--format": "json",
+    "--threads": "1",
 }
 # every (subcommand, option) pair that the subcommand does not read
 _UNREAD = [
@@ -746,6 +785,11 @@ _UNREAD = [
     ("gap-survey", "--format"),
     *[(cmd, o) for cmd in ("divpoly-verify", "code-bound", "optimize") for o in _VALUE],
     *[("verify-identities", o) for o in ("--family", "--T", "--delta", "--precision", "--format")],
+    # no subcommand reads a thread count (the three above take it from _VALUE)
+    *[
+        (cmd, "--threads")
+        for cmd in ("census", "small-points", "heights", "gap-survey", "verify-identities")
+    ],
 ]
 
 
@@ -772,14 +816,14 @@ def test_cli_runs_leave_scipy_unloaded():
 
 
 @pytest.mark.parametrize("subcommand", sorted(_BASE_ARGV))
-def test_out_and_threads_accepted_by_every_subcommand(subcommand, tmp_path, capsys):
+def test_out_accepted_by_every_subcommand(subcommand, tmp_path, capsys):
     out = tmp_path / "r.json"
-    status, doc = run(_BASE_ARGV[subcommand] + ["--threads", "8", "--out", str(out)])
+    status, doc = run(_BASE_ARGV[subcommand] + ["--out", str(out)])
     assert status == 0
     assert json.loads(out.read_text()) == doc
 
 
-def test_cli_declares_49_options():
+def test_cli_declares_41_options():
     subparsers = build_parser()._subparsers._group_actions[0].choices
     assert sorted(subparsers) == sorted(_BASE_ARGV)
     declared = {
@@ -790,5 +834,5 @@ def test_cli_declares_49_options():
         for opt in action.option_strings
         if opt.startswith("--")
     }
-    assert len(declared) == 49 and len(_UNREAD) == 35
+    assert len(declared) == 41 and len(_UNREAD) == 43
     assert not declared & set(_UNREAD)

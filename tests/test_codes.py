@@ -99,6 +99,10 @@ def test_lp_input_validation():
         lp_bound(4, 1.0, degree=1)
     with pytest.raises(ValueError):
         lp_bound(4, 1.0, grid_size=10)
+    with pytest.raises(ValueError, match="grid_size"):
+        lp_bound(4, 1.0, grid_size=100_001)
+    with pytest.raises(ValueError, match="even degree"):
+        lp_bound(4, 1.0, degree=3)
 
 
 def test_best_code_bound_picks_min():

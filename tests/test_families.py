@@ -203,13 +203,11 @@ def test_filter_diagnostics_flags():
         filter_diagnostics(CurveModel(1, 2), 20, 1.5)
 
 
-def test_filter_lazy_agrees_on_pass_verdict():
-    for c in [CurveModel(1, 2), CurveModel(-7, 13), CurveModel(50, -90)]:
-        full = filter_diagnostics(c, 8, 0.2, x_bound_cap=100)
-        lazy = filter_diagnostics(c, 8, 0.2, x_bound_cap=100, lazy=True)
-        # lazy only short-circuits when a cheap flag already failed, so the
-        # overall verdict is identical
-        assert full.passes_all == lazy.passes_all
+def test_filter_rejects_an_x_bound_cap_below_1_before_any_flag():
+    # (1, 2) fails every cheap size flag at T = 20, so no point flag would see the cap
+    assert not filter_diagnostics(CurveModel(1, 2), 20, 0.1, x_bound_cap=1).passes_size
+    with pytest.raises(ValueError, match="x_bound_cap"):
+        filter_diagnostics(CurveModel(1, 2), 20, 0.1, x_bound_cap=0)
 
 
 @pytest.mark.parametrize("T", [-2.0, 0.5, math.inf, -math.inf, math.nan])
@@ -260,21 +258,21 @@ def test_exact_power_cutoffs_keep_the_boundary():
     a_min, _, gcd_max, *_ = families._cutoffs(16, 0.5)
     assert gcd_max == 4 and a_min == 16 ** 1.5 == 64
     assert families._cutoffs(4, 0.5)[0] == 8
-    d = filter_diagnostics(CurveModel(64, 4), 16, 0.5, lazy=True)
+    d = filter_diagnostics(CurveModel(64, 4), 16, 0.5)
     assert d.condition_flags[0]
-    d = filter_diagnostics(CurveModel(63, 4), 16, 0.5, lazy=True)
+    d = filter_diagnostics(CurveModel(63, 4), 16, 0.5)
     assert not d.condition_flags[0]
 
 
 def test_cutoffs_evaluated_once_per_T_delta():
     families._cutoffs.cache_clear()
     curves = list(enumerate_family(Family.UNIVERSAL, 3))
-    verdicts = [filter_diagnostics(c, 3, 0.1, lazy=True).passes_all for c in curves]
+    verdicts = [filter_diagnostics(c, 3, 0.1).passes_all for c in curves]
     assert len(verdicts) == len(curves) > 100
     info = families._cutoffs.cache_info()
     assert info.misses == 1
     assert info.hits == len(curves) - 1
-    filter_diagnostics(curves[0], 3, 0.2, lazy=True)
+    filter_diagnostics(curves[0], 3, 0.2)
     assert families._cutoffs.cache_info().misses == 2
 
 

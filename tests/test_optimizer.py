@@ -50,6 +50,20 @@ def test_infeasible_parameters_detected():
     assert not (verdict["iv_empty"] and verdict["roth_count"])
 
 
+@pytest.mark.parametrize(
+    "given, named",
+    [
+        ({"c": 1.0}, "c"), ({"c": 0}, "c"), ({"c": True}, "c"), ({"c": "0.9"}, "c"),
+        ({"D": 1.0}, "D"), ({"D": math.inf}, "D"), ({"D": math.nan}, "D"),
+        ({"s": 3.0}, "s"), ({"s": 0}, "s"), ({"s": True}, "s"),
+        ({"J_default": 2.0}, "J"), ({"J_by_rank": {5: 1.0}}, "J"),
+    ],
+)
+def test_params_outside_the_domain_raise(given, named):
+    with pytest.raises(ValueError, match=f"^{named} must"):
+        OptimizerParams(**{"c": 0.998114, "D": 612.117, "s": 3, **given})
+
+
 def test_per_rank_values():
     assert per_rank_bound(0, REFERENCE_PARAMS) == 0.0
     assert per_rank_bound(1, REFERENCE_PARAMS) == 2.0

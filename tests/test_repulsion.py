@@ -149,7 +149,7 @@ def test_restricted_survey_equals_a_per_curve_filter_walk(monkeypatch):
     passing = [
         c
         for c in curves
-        if filter_diagnostics(c, T, delta, x_bound_cap=x_bound, lazy=True).passes_all
+        if filter_diagnostics(c, T, delta, x_bound_cap=x_bound).passes_all
     ]
     found = {c: integral_points(c, x_bound) for c in passing}
     pairs = [
