@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -72,14 +73,6 @@ def _fraction(value, what: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"{what}: {value!r} is not a finite rational number") from exc
-
-
-def _is_number(value) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 # options read by more than one subcommand; each declares the ones it reads
@@ -451,71 +444,39 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
         raise ValueError("--search does not read c, D, s or J; give their values in grid")
     if not args.search and "grid" in overrides:
         raise ValueError("grid is read only with --search")
-    model = (
-        optimizer.RankModel.minimalist()
-        if args.model == "minimalist"
-        else optimizer.RankModel.moments()
-    )
     config = {"subcommand": "optimize", "model": args.model, "search": bool(args.search)}
-    # an override enters the hashed config only when given, so a run without it keeps its hash
-    if "moment_caps" in overrides:
-        caps = overrides["moment_caps"]
-        if not (
-            isinstance(caps, list)
-            and all(isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)) for x in caps)
-        ):
-            raise ValueError(f"moment_caps must be a list of [base, cap] number pairs, got {caps!r}")
-        model.moment_caps = [tuple(x) for x in caps]
-        config["moment_caps"] = caps
-    if "floors" in overrides:
-        floors = overrides["floors"]
-        if not (isinstance(floors, dict) and all(map(_is_number, floors.values()))):
-            raise ValueError(f"floors must map names to numbers, got {floors!r}")
-        model.floors = dict(floors)
-        config["floors"] = floors
+    # an override enters the hashed config only when given, so a run without it keeps its hash;
+    # RankModel, OptimizerParams and optimize check the values
+    given = {key: overrides[key] for key in ("moment_caps", "floors") if key in overrides}
+    config.update(given)
     if "density" in overrides:
-        model.density = _fraction(overrides["density"], "density").limit_denominator(10**6)
-        # the search prunes on density * sum_r p_r b_r as a non-negative lower bound
-        if not 0 < model.density <= 1:
-            raise ValueError(f"density must be in (0, 1], got {overrides['density']!r}")
-        config["density"] = str(model.density)
+        given["density"] = _fraction(overrides["density"], "density").limit_denominator(10**6)
+        config["density"] = str(given["density"])
+    # --model names one of RankModel's two constructors
+    model = dataclasses.replace(getattr(optimizer.RankModel, args.model)(), **given)
     if args.search:
         grid = overrides.get("grid")
         if grid is not None:
-            if not (
-                isinstance(grid, dict)
-                and all(isinstance(v, list) and all(map(_is_number, v)) for v in grid.values())
-            ):
-                raise ValueError(f"grid must map parameter names to lists of numbers, got {grid!r}")
-            if unknown := sorted(set(grid) - _POINT_KEYS):
-                raise ValueError(f"unknown grid keys {unknown}, expected some of {sorted(_POINT_KEYS)}")
-            config["grid"] = grid
+            # hashed as the search runs it, so {"D": [700]} and {"D": [700.0]} share a hash
+            grid = config["grid"] = optimizer._search_grid(grid)
         report = optimizer.optimize(model, grid)
     else:
         ref = optimizer.REFERENCE_PARAMS
-        # c, D and J enter the config as floats, so "D = 700" hashes as "D = 700.0";
-        # OptimizerParams rejects a value outside the parameter domain
-        c, D, J = (
-            float(v) if _is_number(v) else v
-            for v in (overrides.get("c", ref.c), overrides.get("D", ref.D),
-                      overrides.get("J", ref.J_default))
+        params = optimizer.OptimizerParams(
+            c=overrides.get("c", ref.c), D=overrides.get("D", ref.D),
+            s=overrides.get("s", ref.s), J_default=overrides.get("J", ref.J_default),
         )
-        params = optimizer.OptimizerParams(c=c, D=D, s=overrides.get("s", ref.s), J_default=J)
         config.update(c=params.c, D=params.D, s=params.s, J=params.J_default)
         report = optimizer.aggregate_bound(model, params)
+    p = report.params
     results = {
         "aggregate": report.aggregate,
         "tail_bound": report.tail_bound,
         "constraints": report.constraints,
         "per_rank": {str(r): v for r, v in sorted(report.per_rank.items()) if r <= 10},
-        "comparison": report.comparison,
-        "r_max": report.r_max,
-        "params": {
-            "c": report.params.c,
-            "D": report.params.D,
-            "s": report.params.s,
-            "J": report.params.J_default,
-        },
+        "comparison": optimizer.REPORTED_COMPARISON_BOUND,
+        "r_max": optimizer._R_MAX,
+        "params": {"c": p.c, "D": p.D, "s": p.s, "J": p.J_default},
     }
     return config, results
 

@@ -27,6 +27,7 @@ memoized on its input vector (b_0 .. b_20).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -76,7 +77,8 @@ def _real(x) -> bool:
 class OptimizerParams:
     """A parameter vector (c, D, s, J), checked against the domain of the
     constraint formulas when built: c in (0, 1), D finite and > 1, s an
-    integer >= 1 and every J in (1, 2)."""
+    integer >= 1 and every J in (1, 2).  c, D and every J are then stored
+    as floats, so D = 700 and D = 700.0 are one vector."""
 
     c: float
     D: float
@@ -94,6 +96,8 @@ class OptimizerParams:
         for j in (self.J_default, *self.J_by_rank.values()):
             if not (_real(j) and 1 < j < 2):
                 raise ValueError(f"J must lie in (1, 2), got {j!r}")
+        self.c, self.D, self.J_default = float(self.c), float(self.D), float(self.J_default)
+        self.J_by_rank = {r: float(j) for r, j in self.J_by_rank.items()}
 
     def J(self, r: int) -> float:
         return self.J_by_rank.get(r, self.J_default)
@@ -106,9 +110,12 @@ class OptimizerParams:
 REFERENCE_PARAMS = OptimizerParams(c=0.998114, D=612.117, s=3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RankModel:
-    kind: str  # "explicit" | "moments"
+    """A rank distribution: the explicit probabilities when given, else the
+    worst case under the moment caps and floors; density scales either.
+    Every field is checked when the model is built."""
+
     probabilities: dict[int, float] | None = None
     moment_caps: list[tuple[float, float]] = field(
         default_factory=lambda: list(DEFAULT_MOMENT_CAPS)
@@ -116,17 +123,41 @@ class RankModel:
     floors: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_FLOORS))
     density: Fraction = DEFAULT_DENSITY
 
+    def __post_init__(self):
+        caps = self.moment_caps
+        try:  # the tail's first term divides by base^(_R_LP + 1)
+            ok = isinstance(caps, (list, tuple)) and len(caps) > 0 and all(
+                isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_real, x))
+                and x[0] > 1 and math.isfinite(float(x[0]) ** (_R_LP + 1))
+                and x[1] > 0 and math.isfinite(x[1])
+                for x in caps
+            )
+        except OverflowError:  # a power or an int past the float range
+            ok = False
+        if not ok:
+            raise ValueError(f"moment_caps must be a non-empty list of [base, cap] pairs, base > 1 "
+                             f"with base^{_R_LP + 1} a finite float, cap > 0 finite; got {caps!r}")
+        floors = self.floors
+        if not (isinstance(floors, dict) and all(_real(v) and 0 <= v <= 1 for v in floors.values())):
+            raise ValueError(f"floors must map names to numbers in [0, 1], got {floors!r}")
+        if unknown := sorted(set(floors) - set(_FLOOR_RANKS)):
+            raise ValueError(f"unknown floors {unknown}, expected some of {list(_FLOOR_RANKS)}")
+        # the search prunes on density * sum_r p_r b_r as a non-negative lower bound
+        if not 0 < self.density <= 1:
+            raise ValueError(f"density must be in (0, 1], got {self.density}")
+        probs = self.probabilities
+        if probs is not None and not (
+            all(p >= 0 for p in probs.values()) and abs(sum(probs.values()) - 1.0) <= 1e-12
+        ):
+            raise ValueError(f"explicit probabilities must be >= 0 and sum to 1, got {probs!r}")
+
     @staticmethod
     def minimalist() -> "RankModel":
-        return RankModel(
-            kind="explicit",
-            probabilities={0: 0.5, 1: 0.5},
-            density=DEFAULT_DENSITY,
-        )
+        return RankModel(probabilities={0: 0.5, 1: 0.5})
 
     @staticmethod
     def moments() -> "RankModel":
-        return RankModel(kind="moments")
+        return RankModel()
 
 
 @dataclass
@@ -136,8 +167,6 @@ class BoundReport:
     constraints: dict
     params: OptimizerParams
     tail_bound: float
-    r_max: int
-    comparison: float = REPORTED_COMPARISON_BOUND
     # (rank, p) with p > 0 for the distribution that attains the aggregate:
     # the worst-case LP optimum, or the explicit probabilities
     worst_case: tuple[tuple[int, float], ...] = ()
@@ -229,9 +258,16 @@ def _rank_bound(
     return 2 * r * shells * code + 9 * params.s * (3**r - 1)
 
 
+class _NoBound(ValueError):
+    """There is no bound at these parameters: they fail the feasibility
+    constraints, or the tail series is open.  A search skips them."""
+
+
 def _tail_bound(params: OptimizerParams, dt: float, model: RankModel) -> float:
-    """sum_{r > _R_LP} cap * b_r / base^r using the fastest-decaying cap."""
-    if model.kind == "explicit" or not model.moment_caps:
+    """sum_{r > _R_LP} cap * b_r / base^r using the fastest-decaying cap, up to
+    its first term below 1e-16.  Raises _NoBound if none of 199 terms is:
+    b_r grows like 3^r, so the series may diverge, and a partial sum bounds nothing."""
+    if model.probabilities is not None:
         return 0.0
     base, cap = max(model.moment_caps, key=lambda bc: bc[0])
     total = 0.0
@@ -239,8 +275,9 @@ def _tail_bound(params: OptimizerParams, dt: float, model: RankModel) -> float:
         term = cap * _rank_bound(r, params, dt) / base**r
         total += term
         if term < 1e-16:
-            break
-    return total
+            return total
+    raise _NoBound(f"tail_bound: the term cap*b_r/base^r at r = {r} is {term:.3g}, not below "
+                   f"1e-16 (base {base!r}, J {params.J(r)!r}); the series gives no bound")
 
 
 def aggregate_bound(
@@ -248,12 +285,10 @@ def aggregate_bound(
 ) -> BoundReport:
     """Average integral-point bound under a rank-distribution model.
 
-    Raises ValueError if the parameters fail the feasibility constraints.
+    Raises ValueError if the parameters fail the feasibility constraints or
+    the tail series does not converge at them.
     """
-    report = _feasible_aggregate(model, params)
-    if report is None:
-        raise ValueError(_INFEASIBLE)
-    return report
+    return _feasible_aggregate(model, params)
 
 
 def _feasible_aggregate(
@@ -262,45 +297,36 @@ def _feasible_aggregate(
     incumbent: BoundReport | None = None,
     lp_memo: dict | None = None,
 ) -> BoundReport | None:
-    """aggregate_bound, or None if the parameters fail the feasibility
-    constraints or, given an incumbent, provably aggregate above it; checks
-    the constraints once.  lp_memo maps (b_0 .. b_R_LP) to a worst-case LP
-    result.  An unknown floor or an infeasible floor/cap combination still
-    raises ValueError."""
-    if unknown := sorted(set(model.floors) - set(_FLOOR_RANKS)):
-        raise ValueError(f"unknown floors {unknown}, expected some of {list(_FLOOR_RANKS)}")
+    """aggregate_bound, or None if, given an incumbent, the parameters
+    provably aggregate above it; checks the constraints once.  lp_memo maps
+    (b_0 .. b_R_LP) to a worst-case LP result.  Raises _NoBound where there
+    is no bound, and ValueError for an infeasible floor/cap combination."""
     constraints = _feasible_constraints(params)
     if constraints is None:
-        return None
+        raise _NoBound(_INFEASIBLE)
     dt = float(d_tilde(params.D))
     if incumbent is not None and _lower_bound(
         model, params, dt, incumbent.worst_case
     ) > incumbent.aggregate + _PRUNE_SLACK * (1 + abs(incumbent.aggregate)):
         return None
+    tail = _tail_bound(params, dt, model)  # before the LPs, which an open tail makes moot
     thetas: dict[float, list[int]] = {}
     for r in range(2, _R_MAX + 1):
         thetas.setdefault(math.acos(params.J(r) / 2), []).append(r)
     for theta, ranks in thetas.items():
         _fill_best(ranks, theta)
     per_rank = {r: _rank_bound(r, params, dt) for r in range(0, _R_MAX + 1)}
-    tail = _tail_bound(params, dt, model)
-    if model.kind == "explicit":
-        probs = model.probabilities or {}
-        total = sum(probs.values())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError("explicit probabilities must sum to 1")
+    if (probs := model.probabilities) is not None:  # tail is 0 here
         worst_case = tuple((r, p) for r, p in sorted(probs.items()) if p > 0)
         agg = float(model.density) * sum(p * per_rank[r] for r, p in probs.items())
-        return BoundReport(
-            per_rank, agg, constraints, params, 0.0, _R_MAX, worst_case=worst_case
-        )
+        return BoundReport(per_rank, agg, constraints, params, tail, worst_case=worst_case)
     b = tuple(per_rank[r] for r in range(_R_LP + 1))
     memo = {} if lp_memo is None else lp_memo
     if b not in memo:
         memo[b] = _worst_case_lp(model, b)
     value, worst_case = memo[b]
     agg = float(model.density) * value + tail
-    return BoundReport(per_rank, agg, constraints, params, tail, _R_MAX, worst_case=worst_case)
+    return BoundReport(per_rank, agg, constraints, params, tail, worst_case=worst_case)
 
 
 def _worst_case_lp(
@@ -360,6 +386,20 @@ def _lower_bound(
     return float(model.density) * sum(p * _rank_bound(r, params, dt) for r, p in worst_case)
 
 
+def _search_grid(grid: dict) -> dict:
+    """grid checked and as the search runs it: keyed c, D, s and J in that
+    order, a missing key at its REFERENCE_PARAMS value, and each value as
+    OptimizerParams stores it, so {"D": [700]} and {"D": [700.0]} are one grid."""
+    fields = {"c": "c", "D": "D", "s": "s", "J": "J_default"}
+    if not (isinstance(grid, dict) and all(isinstance(v, list) for v in grid.values())):
+        raise ValueError(f"grid must map parameter names to lists of numbers, got {grid!r}")
+    if unknown := sorted(set(grid) - set(fields)):
+        raise ValueError(f"unknown grid keys {unknown}, expected some of {sorted(fields)}")
+    ref = REFERENCE_PARAMS
+    return {key: [getattr(replace(ref, **{f: v}), f) for v in grid.get(key, [getattr(ref, f)])]
+            for key, f in fields.items()}
+
+
 def optimize(
     model: RankModel, grid: dict | None = None, refine_iters: int = 40
 ) -> BoundReport:
@@ -369,25 +409,20 @@ def optimize(
     results are deterministic for a fixed grid.
     """
     if grid is None:
-        grid = {
-            "c": [0.99, 0.998114, 0.9995],
-            "D": [300.0, 612.117, 1200.0],
-            "s": [3, 4],
-            "J": [1.15, 1.2, 1.3],
-        }
-    candidates = []
-    for c in grid.get("c", [REFERENCE_PARAMS.c]):
-        for D in grid.get("D", [REFERENCE_PARAMS.D]):
-            for s in grid.get("s", [REFERENCE_PARAMS.s]):
-                for j in grid.get("J", [1.2]):
-                    candidates.append(OptimizerParams(c=c, D=D, s=s, J_default=j))
+        grid = {"c": [0.99, 0.998114, 0.9995], "D": [300.0, 612.117, 1200.0],
+                "s": [3, 4], "J": [1.15, 1.2, 1.3]}
+    candidates = [OptimizerParams(c, D, s, J_default=j)
+                  for c, D, s, j in itertools.product(*_search_grid(grid).values())]
     best = None
     best_key = None
     evaluated = []
     lp_memo: dict = {}
     for params in candidates:
-        report = _feasible_aggregate(model, params, best, lp_memo)
-        if report is None:
+        try:
+            report = _feasible_aggregate(model, params, best, lp_memo)
+        except _NoBound:
+            continue
+        if report is None:  # pruned
             continue
         evaluated.append(report.aggregate)
         key = (report.aggregate, params.c, params.D, params.s, params.J_default)
@@ -413,7 +448,10 @@ def _refine(model: RankModel, report: BoundReport, iters: int, lp_memo: dict) ->
                     trial = replace(p, **{attr: getattr(p, attr) + sign * step})
                 except ValueError:  # a step out of the parameter domain
                     continue
-                cand = _feasible_aggregate(model, trial, best, lp_memo)
+                try:
+                    cand = _feasible_aggregate(model, trial, best, lp_memo)
+                except _NoBound:
+                    continue
                 if cand is not None and cand.aggregate < best.aggregate - 1e-12:
                     best = cand
                     improved = True

@@ -452,7 +452,7 @@ def test_optimize_config_density_outside_0_1_exits_1(tmp_path, capsys, value, ag
     [
         ("density = 2/3", "density", "2/3"),
         ("floors = {\"rank0\": 0.25}", "floors", {"rank0": 0.25}),
-        ("moment_caps = [[3, 4.0]]", "moment_caps", [[3, 4.0]]),
+        ("moment_caps = [[5, 6.0]]", "moment_caps", [[5, 6.0]]),
     ],
 )
 def test_optimize_config_records_given_model_overrides(tmp_path, capsys, line, key, recorded):
@@ -465,6 +465,29 @@ def test_optimize_config_records_given_model_overrides(tmp_path, capsys, line, k
     assert set(plain["config"]) == {"subcommand", "model", "search", "c", "D", "s", "J"}
     assert given["config"] == {**plain["config"], key: recorded}
     assert given["content_hash"] != plain["content_hash"]
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("moment_caps = [[0, 4.0]]", "moment_caps must"),
+        ("moment_caps = [[-3, 4.0]]", "moment_caps must"),
+        ("moment_caps = [[1, 4.0]]", "moment_caps must"),
+        ("moment_caps = [[1e300, 4.0]]", "moment_caps must"),
+        ('floors = {"rank0": -5}', "floors must"),
+        # the tail series: a term at r = 219 still 4.2e-6, a divergent series,
+        # and terms cap * b_r / 3^r that never decay
+        ("J = 1.8", "tail_bound"),
+        ("J = 1.9", "tail_bound"),
+        ("moment_caps = [[3, 4.0]]", "tail_bound"),
+    ],
+)
+def test_optimize_config_outside_the_model_domain_exits_1(tmp_path, capsys, line, named):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    status, doc = run(["optimize", "--model", "moments", "--config", str(cfg)])
+    assert status == 1 and doc is None
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ['floors = {"rank0": 0.9}', "moment_caps = [[2, 0.01]]"])
@@ -495,6 +518,21 @@ def test_optimize_search_config_holds_only_what_the_search_reads(tmp_path, capsy
     assert doc["config"] == {
         "subcommand": "optimize", "model": "minimalist", "search": True, "grid": grid
     }
+
+
+def test_optimize_search_hashes_the_grid_as_it_runs(tmp_path, capsys, monkeypatch):
+    search = optimizer.optimize
+    # the hash is under test, not the refinement: skip its 40 rounds
+    monkeypatch.setattr(optimizer, "optimize", lambda model, grid: search(model, grid, 0))
+    docs = []
+    for value in ("700", "700.0"):
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(f'grid = {{"D": [{value}]}}\n')
+        argv = ["optimize", "--model", "minimalist", "--search", "--config", str(cfg)]
+        docs.append(_run(argv, capsys)[1])
+    assert docs[0]["content_hash"] == docs[1]["content_hash"]
+    assert docs[0]["config"]["grid"] == {"c": [0.998114], "D": [700.0], "s": [3], "J": [1.2]}
+    assert [type(doc["results"]["params"]["D"]) for doc in docs] == [float, float]
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import threading
 from fractions import Fraction
 
@@ -8,7 +10,6 @@ import pytest
 from integral_census import codes, optimizer
 from integral_census.optimizer import (
     REFERENCE_PARAMS,
-    REPORTED_COMPARISON_BOUND,
     BoundReport,
     OptimizerParams,
     RankModel,
@@ -87,7 +88,6 @@ def test_moments_aggregate_frozen():
     assert report.aggregate < 100
     assert report.aggregate == pytest.approx(95.91844324770639, rel=1e-6)
     assert report.tail_bound > 0
-    assert report.comparison == REPORTED_COMPARISON_BOUND
 
 
 def _counting(monkeypatch, module, name):
@@ -140,8 +140,7 @@ def test_aggregate_rejects_infeasible_parameters():
 
 
 def test_moments_infeasible_floors_raise():
-    model = RankModel.moments()
-    model.floors = {"rank0": 0.9, "rank1": 0.9}
+    model = RankModel(floors={"rank0": 0.9, "rank1": 0.9})
     with pytest.raises(ValueError):
         aggregate_bound(model)
 
@@ -149,9 +148,85 @@ def test_moments_infeasible_floors_raise():
 @pytest.mark.parametrize("kind", ["minimalist", "moments"])
 def test_unknown_floor_raises(kind):
     model = getattr(RankModel, kind)()
-    model.floors = {**model.floors, "rank2": 0.1}
     with pytest.raises(ValueError, match="unknown floors"):
-        aggregate_bound(model)
+        dataclasses.replace(model, floors={**model.floors, "rank2": 0.1})
+
+
+@pytest.mark.parametrize(
+    "given, named",
+    [
+        ({"moment_caps": [[0, 4.0]]}, "moment_caps"),
+        ({"moment_caps": [[-3, 4.0]]}, "moment_caps"),
+        ({"moment_caps": [[1, 4.0]]}, "moment_caps"),
+        # 1e300 ** 21 raises OverflowError; it does not return inf
+        ({"moment_caps": [[1e300, 4.0]]}, "moment_caps"),
+        ({"moment_caps": [[10**400, 4.0]]}, "moment_caps"),
+        ({"moment_caps": [[math.inf, 4.0]]}, "moment_caps"),
+        ({"moment_caps": [[math.nan, 4.0]]}, "moment_caps"),
+        ({"moment_caps": [[5, 0.0]]}, "moment_caps"),
+        ({"moment_caps": [[5, math.inf]]}, "moment_caps"),
+        ({"moment_caps": [[5, True]]}, "moment_caps"),
+        ({"moment_caps": [[5]]}, "moment_caps"),
+        ({"moment_caps": []}, "moment_caps"),
+        ({"moment_caps": 5}, "moment_caps"),
+        ({"floors": {"rank0": -5}}, "floors"),
+        ({"floors": {"rank0": 1.5}}, "floors"),
+        ({"floors": {"rank0": "high"}}, "floors"),
+        ({"floors": [0.2]}, "floors"),
+        ({"density": Fraction(0)}, "density"),
+        ({"density": Fraction(-1, 2)}, "density"),
+        ({"density": Fraction(3, 2)}, "density"),
+        ({"probabilities": {0: -0.5, 1: 1.5}}, "explicit probabilities"),
+        ({"probabilities": {0: 0.5, 1: 0.4}}, "explicit probabilities"),
+        ({"probabilities": {0: 0.5, 1: 0.6}}, "explicit probabilities"),
+    ],
+)
+def test_rank_model_outside_its_domain_raises_when_built(given, named):
+    with pytest.raises(ValueError, match=f"^{named} must"):
+        RankModel(**given)
+
+
+def test_rank_model_is_frozen_and_explicit_by_its_probabilities():
+    model = RankModel.minimalist()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.density = Fraction(1)
+    assert model.probabilities is not None and RankModel.moments().probabilities is None
+    # the edges of the domain are in it
+    RankModel(moment_caps=[(1.0001, 1e-9)], floors={"rank0": 0, "rank1": 1}, density=Fraction(1))
+
+
+def test_params_store_c_d_and_j_as_floats():
+    params = OptimizerParams(c=0.5, D=700, s=3, J_by_rank={4: 1.25}, J_default=1.5)
+    assert [type(v) for v in (params.c, params.D, params.J_default, params.J(4))] == [float] * 4
+    assert type(params.s) is int
+    assert type(dataclasses.replace(params, D=800).D) is float
+
+
+# J = 1.8: the term at r = 219 is still 4.2e-6; J = 1.9: the series diverges;
+# caps [[3, 4.0]]: cap * b_r / 3^r tends to a constant, since b_r grows like 3^r
+@pytest.mark.parametrize(
+    "model, J",
+    [
+        (RankModel.moments(), 1.8),
+        (RankModel.moments(), 1.9),
+        (RankModel(moment_caps=[[3, 4.0]]), 1.2),
+    ],
+)
+def test_aggregate_refuses_an_open_tail(model, J, monkeypatch):
+    lps = _counting(monkeypatch, codes, "lp_bound")
+    params = OptimizerParams(c=0.998114, D=612.117, s=3, J_default=J)
+    with pytest.raises(ValueError, match="^tail_bound: .* not below 1e-16"):
+        aggregate_bound(model, params)
+    assert lps == []  # refused before the code-bound LPs
+
+
+def test_search_skips_a_trial_with_an_open_tail():
+    model = RankModel.moments()
+    best = optimize(model, {"J": [1.8, 1.2]}, refine_iters=0)
+    assert best.params.J_default == 1.2
+    assert best.aggregate == pytest.approx(95.91844324770639, rel=1e-6)
+    with pytest.raises(ValueError, match="no feasible point in grid"):
+        optimize(model, {"J": [1.8, 1.9]}, refine_iters=0)
 
 
 def test_optimize_dominates_reference():
@@ -244,6 +319,19 @@ def test_pruning_on_the_default_grid_is_sound(monkeypatch):
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
         optimize(RankModel.moments(), {"c": [0.5], "D": [2.0], "s": [3], "J": [1.2]})
+
+
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        ({"X": [1.0], "J": [1.25]}, "unknown grid keys ['X']"),
+        ({"c": 0.99}, "grid must"),
+        ([0.99], "grid must"),
+    ],
+)
+def test_optimize_checks_its_grid(grid, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        optimize(RankModel.moments(), grid)
 
 
 def _admissible_gram(rng, k):
