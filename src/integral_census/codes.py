@@ -5,19 +5,18 @@ the exact circle bound for lines in the plane, the Kabatiansky-Levenshtein
 exponential rate, and a Delsarte-type linear-programming bound for
 projective codes in small dimension.
 
-The LP bounds of several ranks at one theta are solved concurrently
-(``_fill_best``): HiGHS releases the GIL while it runs.  Each result is
-the one a serial solve gives, whatever the number of threads.
+``best_code_bound`` takes the smallest certified bound and memoizes it by
+(r, theta).  Every LP runs on the calling thread; the optimizer solves
+only the ranks its worst case reads and starts the others at ``cap``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import mpmath as mp
 import numpy as np
@@ -251,33 +250,9 @@ def best_code_bound(r: int, theta: float) -> CodeBoundResult:
     return result
 
 
-def _fill_best(ranks: Iterable[int], theta: float) -> None:
-    """Enter best_code_bound(r, theta) into _BEST for every r in ranks.
-
-    The LPs of the missing ranks 3.._LP_R_MAX run on a thread pool that
-    closes before this returns; everything else, mpmath included (its
-    working precision is process-global), runs on the calling thread, and
-    the results enter _BEST in rank order.
-    """
-    # imported here: concurrent.futures.thread is not loaded by scipy, and
-    # only the optimizer's runs reach this
-    from concurrent.futures import ThreadPoolExecutor
-
-    missing = [r for r in ranks if (r, theta) not in _BEST]
-    lp_ranks = [r for r in missing if 3 <= r <= _LP_R_MAX]
-    solved = {}
-    if lp_ranks:
-        with ThreadPoolExecutor(min(len(lp_ranks), os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(lp_bound, r, theta) for r in lp_ranks]
-        solved = dict(zip(lp_ranks, (f.result() for f in futures)))
-    for r in missing:
-        _BEST[(r, theta)] = _best_code_bound(r, theta, solved.get(r))
-
-
-def _best_code_bound(
-    r: int, theta: float, lp: CodeBoundResult | None = None
-) -> CodeBoundResult:
-    """The best bound at (r, theta); lp, if given, is lp_bound(r, theta)."""
+def _best_code_bound(r: int, theta: float) -> CodeBoundResult:
+    """The best bound at (r, theta): the projective cap, or below it a
+    certified LP bound for 3 <= r <= _LP_R_MAX, or rp1 at r = 2."""
     if r < 2:
         raise ValueError("r must be >= 2")
     if r == 2:
@@ -286,8 +261,7 @@ def _best_code_bound(
         CodeBoundResult(r, theta, "cap", cap_bound(r, theta, projective=True))
     ]
     if r <= _LP_R_MAX:
-        if lp is None:
-            lp = lp_bound(r, theta)
+        lp = lp_bound(r, theta)
         if lp.certified and math.isfinite(lp.bound):
             candidates.append(lp)
     return min(candidates, key=lambda c: c.bound)

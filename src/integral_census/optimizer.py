@@ -9,9 +9,20 @@ distribution or a worst-case linear program constrained by moment caps
 and proportion floors, with a geometric tail envelope above r_max.
 
 ``aggregate_bound`` and ``optimize`` check the constraints once per
-parameter vector, not once per rank, and the code bounds are memoized by (r, theta) in
-``codes.best_code_bound``, so parameter vectors that share a J share
-their LP solves.
+parameter vector, not once per rank, and the code bounds are memoized by
+(r, theta) in ``codes.best_code_bound``, so parameter vectors that share a
+J share their LP solves.
+
+The worst case reads the LP code bounds lazily.  Every rank 3..16, where
+``best_code_bound`` would solve an LP, starts at its closed-form cap,
+which is never below the best bound.  The worst-case LP is solved, each
+rank of its support still on cap takes its best bound, and the LP is
+solved again, until every support rank holds its best bound.  With b the
+vector of best bounds, b' the final vector and p' its optimum, b' >= b
+with equality on the support of p', so b.p' = b'.p' = V(b') >= V(b) >=
+b.p': the aggregate is the one every best bound gives.  An explicit model
+reads the best bounds of its own support.  The start never depends on
+what the memo holds, so a cold and a warm memo give one report.
 
 ``optimize`` prunes: the worst-case LP's feasible set depends on the model
 alone, so the incumbent's optimal distribution p* is feasible for every
@@ -19,10 +30,8 @@ trial, and density * sum_r p*_r b_r(trial) is at most the trial's
 aggregate.  A trial whose bound exceeds the incumbent's aggregate by more
 than 1e-6 (1 + |aggregate|) could never be accepted, and is skipped after
 its constraint check and the code bounds of the ranks with p*_r > 0 (0..3
-at the reference point), before its other LPs.  A trial evaluated in full
-solves the LPs of each theta = acos(J/2) in one concurrent batch
-(``codes._fill_best``).  Within one search the worst-case LP is also
-memoized on its input vector (b_0 .. b_20).
+at the reference point), before its other LPs.  Within one search the
+worst-case LP is memoized on its input vector (b_0 .. b_20).
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import linprog
 
-from .codes import _fill_best, best_code_bound
+from .codes import _LP_R_MAX, CodeBoundResult, best_code_bound, cap_bound
 
 __all__ = [
     "OptimizerParams",
@@ -162,6 +171,14 @@ class RankModel:
 
 @dataclass
 class BoundReport:
+    """An aggregate and what it was computed from.
+
+    per_rank holds the per-rank bounds the aggregate used: a rank 3..16
+    outside the worst case's support may stand at its cap code bound.  In
+    the report that aggregate_bound or optimize returns, ranks 3..10,
+    which the CLI prints, are replaced by their best bounds.
+    """
+
     per_rank: dict[int, float]
     aggregate: float
     constraints: dict
@@ -288,7 +305,22 @@ def aggregate_bound(
     Raises ValueError if the parameters fail the feasibility constraints or
     the tail series does not converge at them.
     """
-    return _feasible_aggregate(model, params)
+    return _shown(_feasible_aggregate(model, params))
+
+
+def _shown(report: BoundReport) -> BoundReport:
+    """report with ranks 3..10 of per_rank, which the CLI prints, at their best bounds."""
+    dt = float(d_tilde(report.params.D))
+    best = {r: _rank_bound(r, report.params, dt) for r in range(3, 11)}
+    return replace(report, per_rank={**report.per_rank, **best})
+
+
+def _start_code(r: int, theta: float) -> CodeBoundResult:
+    """A rank's code bound before the worst case reads it: the cap candidate
+    of best_code_bound where that would solve an LP, else the best bound."""
+    if 3 <= r <= _LP_R_MAX:
+        return CodeBoundResult(r, theta, "cap", cap_bound(r, theta, projective=True))
+    return best_code_bound(r, theta)
 
 
 def _feasible_aggregate(
@@ -310,21 +342,27 @@ def _feasible_aggregate(
     ) > incumbent.aggregate + _PRUNE_SLACK * (1 + abs(incumbent.aggregate)):
         return None
     tail = _tail_bound(params, dt, model)  # before the LPs, which an open tail makes moot
-    thetas: dict[float, list[int]] = {}
-    for r in range(2, _R_MAX + 1):
-        thetas.setdefault(math.acos(params.J(r) / 2), []).append(r)
-    for theta, ranks in thetas.items():
-        _fill_best(ranks, theta)
-    per_rank = {r: _rank_bound(r, params, dt) for r in range(0, _R_MAX + 1)}
+    per_rank = {r: _rank_bound(r, params, dt, _start_code) for r in range(0, _R_MAX + 1)}
     if (probs := model.probabilities) is not None:  # tail is 0 here
         worst_case = tuple((r, p) for r, p in sorted(probs.items()) if p > 0)
+        for r, _ in worst_case:
+            per_rank[r] = _rank_bound(r, params, dt)
         agg = float(model.density) * sum(p * per_rank[r] for r, p in probs.items())
         return BoundReport(per_rank, agg, constraints, params, tail, worst_case=worst_case)
-    b = tuple(per_rank[r] for r in range(_R_LP + 1))
     memo = {} if lp_memo is None else lp_memo
-    if b not in memo:
-        memo[b] = _worst_case_lp(model, b)
-    value, worst_case = memo[b]
+    read: set[int] = set()  # the ranks that hold their best bound
+    while True:
+        b = tuple(per_rank[r] for r in range(_R_LP + 1))
+        if b not in memo:
+            memo[b] = _worst_case_lp(model, b)
+        value, worst_case = memo[b]
+        unread = [r for r, _ in worst_case if r not in read]
+        if not unread:
+            break
+        # ranks outside 3..16 start at their best bound, so b may not move
+        for r in unread:
+            per_rank[r] = _rank_bound(r, params, dt)
+        read.update(unread)
     agg = float(model.density) * value + tail
     return BoundReport(per_rank, agg, constraints, params, tail, worst_case=worst_case)
 
@@ -361,7 +399,12 @@ def _worst_case_lp(
         bounds=[(0, None)] * n,
     )
     if not res.success:
-        raise ValueError(f"infeasible floor/cap combination: {res.message}")
+        # scipy gives status 2 to an infeasible model and to a HiGHS model error alike
+        if res.message.startswith("The problem is infeasible"):
+            raise ValueError(f"infeasible floor/cap combination: {res.message}")
+        top = max(float(base) ** (n - 1) for base, _ in model.moment_caps)
+        raise ValueError(f"the worst-case LP could not be solved: {res.message}; its largest "
+                         f"moment coefficient base^{n - 1} is {top:.3g}")
     return float(-res.fun), tuple((r, float(p)) for r, p in enumerate(res.x) if p > 0)
 
 
@@ -433,7 +476,7 @@ def optimize(
     best = _refine(model, best, refine_iters, lp_memo)
     if evaluated and best.aggregate > min(evaluated) + 1e-12:
         raise AssertionError("refinement must not lose to an evaluated grid point")
-    return best
+    return _shown(best)
 
 
 def _refine(model: RankModel, report: BoundReport, iters: int, lp_memo: dict) -> BoundReport:

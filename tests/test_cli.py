@@ -490,6 +490,28 @@ def test_optimize_config_outside_the_model_domain_exits_1(tmp_path, capsys, line
     assert named in capsys.readouterr().err
 
 
+# scipy gives both status 2: the first is a HiGHS model error (the moment row
+# reaches 1e14^20 = 1e280) on caps and floors that a distribution meets
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("moment_caps = [[1e14, 6.0]]", "the worst-case LP could not be solved: "
+                                        "(HiGHS Status 2: Model error); its largest "
+                                        "moment coefficient base^20 is 1e+280"),
+        ('floors = {"rank0": 0.9, "rank1": 0.9}', "infeasible floor/cap combination: "
+                                                  "The problem is infeasible."),
+    ],
+)
+def test_optimize_tells_a_solver_error_from_an_infeasible_model(tmp_path, capsys, line, named):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(line + "\n")
+    status, doc = run(["optimize", "--model", "moments", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert status == 1 and doc is None
+    assert err.startswith(f"error: {named}")
+    assert ("infeasible" in err) == ("floors" in line)
+
+
 @pytest.mark.parametrize("line", ['floors = {"rank0": 0.9}', "moment_caps = [[2, 0.01]]"])
 def test_optimize_minimalist_rejects_keys_it_does_not_read(tmp_path, capsys, line):
     cfg = tmp_path / "params.cfg"

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
 
 import mpmath as mp
 import numpy as np
@@ -216,59 +214,20 @@ def test_projective_cap_bound_matches_closed_form_bitwise(theta):
 
 # J = 2 cos(theta) on the bound workload's grid, and the (r, J) whose LP
 # fails its certificate there and falls back to cap
-_POOL_JS = (1.2, 1.3, 1.32, 1.34)
+_BOUND_JS = (1.2, 1.3, 1.32, 1.34)
 _CAP_FALLBACKS = {(15, 1.3), (16, 1.3), (15, 1.32), (14, 1.34), (16, 1.34)}
 
 
-def _same_result(got, want):
-    assert (got.r, got.theta, got.method, got.certified) == (
-        want.r, want.theta, want.method, want.certified
-    )
-    assert np.float64(got.bound).tobytes() == np.float64(want.bound).tobytes()
-    assert got.detail == want.detail
-
-
-# None: os.cpu_count() workers; 16: a thread per rank, more than the cores,
-# switching every 10 us
-@pytest.mark.parametrize("cpus", [None, 1, 16])
-def test_pooled_code_bounds_match_serial_solves(cpus, monkeypatch):
+def test_code_bounds_fall_back_to_cap_where_the_lp_fails_its_certificate(monkeypatch):
     monkeypatch.setattr(codes, "_BEST", {})
-    if cpus is not None:
-        monkeypatch.setattr(codes.os, "cpu_count", lambda: cpus)
     ranks = range(3, 17)
     fallbacks = set()
-    interval = sys.getswitchinterval()
-    if cpus == 16:
-        sys.setswitchinterval(1e-5)
-    try:
-        for j in _POOL_JS:
-            theta = math.acos(j / 2)
-            codes._fill_best(ranks, theta)
-            for r in ranks:
-                _same_result(codes._BEST[(r, theta)], codes._best_code_bound(r, theta))
-                if codes._BEST[(r, theta)].method == "cap":
-                    fallbacks.add((r, j))
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(codes._BEST) == len(_POOL_JS) * len(ranks)
+    for j in _BOUND_JS:
+        theta = math.acos(j / 2)
+        for r in ranks:
+            result = best_code_bound(r, theta)
+            assert result.bound <= cap_bound(r, theta, projective=True)
+            if result.method == "cap":
+                fallbacks.add((r, j))
+    assert len(codes._BEST) == len(_BOUND_JS) * len(ranks)
     assert fallbacks == _CAP_FALLBACKS
-
-
-def test_pool_solves_only_missing_lp_ranks_and_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(codes, "_BEST", {})
-    solved = []
-    solve = codes.lp_bound
-
-    def recording(r, theta):
-        solved.append((r, threading.current_thread() is threading.main_thread()))
-        return solve(r, theta)
-
-    monkeypatch.setattr(codes, "lp_bound", recording)
-    theta = math.acos(0.6)
-    best_code_bound(5, theta)
-    before = threading.active_count()
-    codes._fill_best(range(2, 21), theta)
-    assert threading.active_count() == before
-    # rank 5 was solved serially, before the batch
-    assert sorted(solved) == [(r, r == 5) for r in range(3, 17)]
-    assert sorted(r for r, t in codes._BEST if t == theta) == list(range(2, 21))

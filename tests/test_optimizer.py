@@ -118,7 +118,7 @@ def test_aggregate_reuses_code_bounds_across_d(monkeypatch):
     assert second.per_rank != first.per_rank
 
 
-def test_aggregate_solves_the_lps_of_each_theta_off_the_calling_thread(monkeypatch):
+def test_aggregate_solves_the_support_then_the_report_ranks_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(codes, "_BEST", {})
     solved = []
     solve = codes.lp_bound
@@ -129,9 +129,91 @@ def test_aggregate_solves_the_lps_of_each_theta_off_the_calling_thread(monkeypat
 
     monkeypatch.setattr(codes, "lp_bound", recording)
     params = OptimizerParams(c=0.998114, D=612.117, s=3, J_by_rank={5: 1.3}, J_default=1.25)
-    aggregate_bound(RankModel.moments(), params)
-    want = [(r, math.acos((1.3 if r == 5 else 1.25) / 2), False) for r in range(3, 17)]
-    assert sorted(solved) == want
+    report = aggregate_bound(RankModel.moments(), params)
+    theta = {r: math.acos((1.3 if r == 5 else 1.25) / 2) for r in range(3, 11)}
+    support = [r for r, _ in report.worst_case if r >= 3]
+    assert support == [3]
+    # the support while the aggregate is computed, then the report's other ranks 3..10
+    assert solved == [(r, theta[r], True) for r in support + [4, 5, 6, 7, 8, 9, 10]]
+
+
+def _best_everywhere(model, params):
+    """(aggregate, worst_case) with the best code bound of every rank 3..16."""
+    dt = float(d_tilde(params.D))
+    b = tuple(optimizer._rank_bound(r, params, dt) for r in range(optimizer._R_LP + 1))
+    value, worst_case = optimizer._worst_case_lp(model, b)
+    return float(model.density) * value + optimizer._tail_bound(params, dt, model), worst_case
+
+
+_LAZY_PARAMS = [
+    *(OptimizerParams(c=0.998114, D=612.117, s=3, J_default=j) for j in (1.15, 1.2, 1.3, 1.428316)),
+    OptimizerParams(c=0.998114, D=612.117, s=3, J_by_rank={2: 1.25, 3: 1.428316, 4: 1.3}),
+]
+
+
+@pytest.mark.parametrize("params", _LAZY_PARAMS)
+def test_lazy_code_bounds_give_the_aggregate_of_every_best_bound(params):
+    model = RankModel.moments()
+    report = aggregate_bound(model, params)
+    assert (report.aggregate, report.worst_case) == _best_everywhere(model, params)
+    # the ranks past the report's hold what the aggregate used: cap off the support
+    dt = float(d_tilde(params.D))
+    support = {r for r, _ in report.worst_case}
+    for r in range(11, codes._LP_R_MAX + 1):
+        code = codes.best_code_bound if r in support else optimizer._start_code
+        assert report.per_rank[r] == optimizer._rank_bound(r, params, dt, code)
+
+
+def test_the_cap_start_alone_is_not_the_aggregate():
+    # stopping after the first worst-case LP would report the cap-start value
+    model, params = RankModel.moments(), REFERENCE_PARAMS
+    dt = float(d_tilde(params.D))
+    start = tuple(optimizer._rank_bound(r, params, dt, optimizer._start_code)
+                  for r in range(optimizer._R_LP + 1))
+    report = aggregate_bound(model, params)
+    value = (report.aggregate - report.tail_bound) / float(model.density)
+    assert optimizer._worst_case_lp(model, start)[0] == pytest.approx(142.9938, abs=1e-4)
+    assert value == pytest.approx(107.8947, abs=1e-4)
+
+
+@pytest.mark.parametrize("search", [False, True])
+def test_a_cold_and_a_warm_memo_give_one_report(search, monkeypatch):
+    model = RankModel.moments()
+    grid = {"J": [1.2, 1.3]}
+
+    def run():
+        return optimize(model, grid, refine_iters=1) if search else aggregate_bound(model)
+
+    monkeypatch.setattr(codes, "_BEST", {})
+    cold = run()
+    for j in (1.2, 1.3, 1.3 - 0.02, 1.3 + 0.02, 1.2 - 0.02, 1.2 + 0.02):
+        for r in range(2, codes._LP_R_MAX + 1):
+            codes.best_code_bound(r, math.acos(j / 2))
+    warm = run()
+    assert warm == cold
+    # a start read from the memo would give rank 16 its LP bound
+    lp16 = codes.best_code_bound(16, math.acos(cold.params.J(16) / 2))
+    assert lp16.method == "lp" and cold.per_rank[16] > optimizer._rank_bound(
+        16, cold.params, float(d_tilde(cold.params.D)))
+
+
+def test_a_minimalist_search_solves_only_the_report_ranks(monkeypatch):
+    monkeypatch.setattr(codes, "_BEST", {})
+    lps = _counting(monkeypatch, codes, "lp_bound")
+    grid = {"c": [0.998114], "D": [612.117], "s": [3], "J": [1.2]}
+    best = optimize(RankModel.minimalist(), grid)
+    assert best.aggregate == float(Fraction(8, 9))
+    theta = math.acos(best.params.J_default / 2)
+    assert sorted(lps) == [(r, theta) for r in range(3, 11)]
+    for r in range(3, 11):
+        assert best.per_rank[r] == per_rank_bound(r, best.params)
+
+
+def test_optimize_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(codes, "_BEST", {})
+    started = _counting(monkeypatch, threading.Thread, "start")
+    optimize(RankModel.moments(), _SEARCH_GRIDS[0], refine_iters=2)
+    assert started == []
 
 
 def test_aggregate_rejects_infeasible_parameters():
@@ -283,9 +365,9 @@ def test_pruning_counts_on_the_bound_grid(monkeypatch):
         monkeypatch.undo()
         return len(lps), len(aggregate_lps)
 
-    assert solves() == (57, 5)
+    assert solves() == (21, 15)
     _no_pruning(monkeypatch)
-    assert solves() == (70, 8)
+    assert solves() == (22, 24)
 
 
 def test_pruning_on_the_default_grid_is_sound(monkeypatch):
