@@ -1,10 +1,9 @@
 """Command-line front end: validation, dispatch, and report emission.
 
 Every run emits a JSON document containing the validated config and a
-content hash of (config, results).  The LP code bounds of one theta are
-solved concurrently, and the output never depends on the number of
-threads; the output path is excluded from the document, so identical
-computations produce byte-identical JSON.
+content hash of (config, results).  Every run is serial, and the output
+path is excluded from the document, so identical computations produce
+byte-identical JSON.
 
 Each subcommand declares only the options it reads, plus ``--out``: any
 other option exits 1, and so does a ``--config`` key or a code-bound
@@ -448,12 +447,14 @@ def _cmd_optimize(args) -> tuple[dict, dict]:
     # an override enters the hashed config only when given, so a run without it keeps its hash;
     # RankModel, OptimizerParams and optimize check the values
     given = {key: overrides[key] for key in ("moment_caps", "floors") if key in overrides}
-    config.update(given)
     if "density" in overrides:
         given["density"] = _fraction(overrides["density"], "density").limit_denominator(10**6)
-        config["density"] = str(given["density"])
     # --model names one of RankModel's two constructors
     model = dataclasses.replace(getattr(optimizer.RankModel, args.model)(), **given)
+    # hashed as the model holds them, so [[5, 6]] and [[5.0, 6.0]] share a hash
+    held = {"moment_caps": [list(bc) for bc in model.moment_caps], "floors": model.floors,
+            "density": str(model.density)}
+    config.update({key: held[key] for key in given})
     if args.search:
         grid = overrides.get("grid")
         if grid is not None:

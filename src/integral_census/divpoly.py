@@ -8,16 +8,14 @@ so terms are stored keyed by (f_A, f_B) alone.
 ``psi`` builds psi_n only for n <= PSI_N_MAX = 32, the range measured to
 run: past n = 24 each step of 4 in n costs about four times the step
 before, and psi_36 takes several times as long as psi_32 (README gives the
-times).  Point multiplication never builds symbolic polynomials; it runs
+times).  Each psi_n is built once per process, by the recursion, and kept
+in memory.  Point multiplication never builds symbolic polynomials; it runs
 the same recursion on exact rational values, for n <= 64.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,10 +33,6 @@ __all__ = [
 
 PSI_N_MAX = 32
 _MULTIPLY_N_MAX = 64
-CACHE_ENV = "INTEGRAL_CENSUS_CACHE"
-# a cache file holds the pair (_CACHE_FORMAT, DivPoly); change the tag
-# whenever DivPoly's layout changes, and every older file becomes a miss
-_CACHE_FORMAT = "integral-census psi cache v2"
 
 
 @dataclass(frozen=True)
@@ -192,14 +186,6 @@ _BASE = {
 _psi_cache: dict[int, DivPoly] = {}
 
 
-def _cache_path(n: int) -> str | None:
-    root = os.environ.get(CACHE_ENV)
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"psi_{n}.pkl")
-
-
 def psi(n: int) -> DivPoly:
     """Symbolic n-th division polynomial, canonical form; 1 <= n <= PSI_N_MAX."""
     if n < 1:
@@ -212,11 +198,6 @@ def psi(n: int) -> DivPoly:
 def _psi(n: int) -> DivPoly:
     if n in _psi_cache:
         return _psi_cache[n]
-    path = _cache_path(n)
-    poly = _load_cached(path, n) if path else None
-    if poly is not None:
-        _psi_cache[n] = poly
-        return poly
     if n in _BASE:
         yf, w, t = _BASE[n]
         poly = DivPoly(n, yf, w, t)
@@ -251,36 +232,7 @@ def _psi(n: int) -> DivPoly:
         w, t = _wmul(pm.xpart_weight, pm.xterms, w, t)
         poly = DivPoly(n, 1, w, _wscale_div(t, 2))
     _psi_cache[n] = poly
-    if path:
-        _store_cached(path, poly)
     return poly
-
-
-def _load_cached(path: str, n: int) -> DivPoly | None:
-    """The cached psi_n, or None when the file is missing, truncated, of
-    another format version or holds anything else; the caller then
-    recomputes and rewrites it."""
-    try:
-        with open(path, "rb") as fh:
-            entry = pickle.load(fh)
-    except Exception:  # damaged bytes can fail in pickle with almost any error
-        return None
-    if not (isinstance(entry, tuple) and len(entry) == 2 and entry[0] == _CACHE_FORMAT):
-        return None
-    poly = entry[1]
-    return poly if isinstance(poly, DivPoly) and poly.n == n else None
-
-
-def _store_cached(path: str, poly: DivPoly) -> None:
-    # a reader sees either no file or a complete one, never a partial write
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump((_CACHE_FORMAT, poly), fh)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def _wpow3_mul(lin: tuple[int, dict], p_cub: DivPoly) -> tuple[int, dict]:

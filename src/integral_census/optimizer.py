@@ -159,6 +159,13 @@ class RankModel:
             all(p >= 0 for p in probs.values()) and abs(sum(probs.values()) - 1.0) <= 1e-12
         ):
             raise ValueError(f"explicit probabilities must be >= 0 and sum to 1, got {probs!r}")
+        # one value, one spelling, so one model has one hash: a base that is an integer
+        # is held as an int, so the tail divides by the exact power base**r; caps and
+        # floors are floats
+        object.__setattr__(self, "moment_caps", [
+            (int(b) if float(b).is_integer() else float(b), float(c)) for b, c in caps
+        ])
+        object.__setattr__(self, "floors", {k: float(v) for k, v in floors.items()})
 
     @staticmethod
     def minimalist() -> "RankModel":

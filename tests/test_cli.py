@@ -448,6 +448,28 @@ def test_optimize_config_density_outside_0_1_exits_1(tmp_path, capsys, value, ag
 
 
 @pytest.mark.parametrize(
+    "lines, key, recorded",
+    [
+        (["moment_caps = [[5, 6]]", "moment_caps = [[5, 6.0]]", "moment_caps = [[5.0, 6.0]]"],
+         "moment_caps", [[5, 6.0]]),
+        (['floors = {"rank0": 1}', 'floors = {"rank0": 1.0}'], "floors", {"rank0": 1.0}),
+    ],
+)
+def test_optimize_config_spellings_of_one_model_share_a_hash(tmp_path, capsys, lines, key, recorded):
+    cfg = tmp_path / "params.cfg"
+    docs = []
+    for line in lines:
+        cfg.write_text(line + "\n")
+        docs.append(_run(["optimize", "--model", "moments", "--config", str(cfg)], capsys)[1])
+    assert all(doc["config"][key] == recorded for doc in docs)
+    assert len({doc["content_hash"] for doc in docs}) == 1
+    if key == "moment_caps":
+        assert docs[0]["content_hash"] == (
+            "d42ac8d045121471939881456c5715687f84020466e9f8e8cd7b9fdf3b6edc85"
+        )
+
+
+@pytest.mark.parametrize(
     "line, key, recorded",
     [
         ("density = 2/3", "density", "2/3"),

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -76,7 +77,6 @@ def test_wmul_matches_schoolbook(t1, t2):
 
 
 def test_psi_matches_schoolbook_product(monkeypatch):
-    monkeypatch.delenv(divpoly.CACHE_ENV, raising=False)
     saved = dict(divpoly._psi_cache)
     try:
         divpoly._psi_cache.clear()
@@ -196,41 +196,27 @@ def test_triple_root_identity():
     assert triple_root_identity_check(curve2, CurvePoint.affine(1, 2), 50)
 
 
-def test_psi_cache_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv(divpoly.CACHE_ENV, str(tmp_path))
-    fresh = dict(divpoly._psi_cache)
-    divpoly._psi_cache.clear()
+def test_psi_never_reads_or_writes_a_cache_directory(tmp_path, monkeypatch):
+    # psi_9 pickled with wrong terms, in the on-disk format that older
+    # versions loaded from the directory INTEGRAL_CENSUS_CACHE named: psi
+    # builds psi_9 by the recursion and leaves the directory as it was
+    saved = dict(divpoly._psi_cache)
     try:
-        a = psi(9)
-        assert (tmp_path / "psi_9.pkl").exists()
         divpoly._psi_cache.clear()
-        b = psi(9)  # loaded from disk
-        assert a == b
-    finally:
-        divpoly._psi_cache.clear()
-        divpoly._psi_cache.update(fresh)
-
-
-@pytest.mark.parametrize("damage", ["truncated", "other_n"])
-def test_psi_cache_recovers_from_bad_file(damage, tmp_path, monkeypatch):
-    monkeypatch.setenv(divpoly.CACHE_ENV, str(tmp_path))
-    fresh = dict(divpoly._psi_cache)
-    divpoly._psi_cache.clear()
-    try:
-        want = psi(9)
-        blob = (tmp_path / "psi_9.pkl").read_bytes()
-        if damage == "truncated":
-            bad = blob[: len(blob) // 2]
-        else:
-            bad = (tmp_path / "psi_5.pkl").read_bytes()
-        (tmp_path / "psi_9.pkl").write_bytes(bad)
+        with monkeypatch.context() as m:
+            m.setattr(divpoly, "_wmul", _schoolbook)
+            want = psi(9)
+        planted = divpoly.DivPoly(9, want.y_factor, want.xpart_weight, {(0, 0): 1})
+        blob = pickle.dumps(("integral-census psi cache v2", planted))
+        (tmp_path / "psi_9.pkl").write_bytes(blob)
+        monkeypatch.setenv("INTEGRAL_CENSUS_CACHE", str(tmp_path))
         divpoly._psi_cache.clear()
         assert psi(9) == want
-        assert (tmp_path / "psi_9.pkl").read_bytes() == blob  # rewritten whole
-        assert not list(tmp_path.glob("*.tmp"))
+        assert [f.name for f in tmp_path.iterdir()] == ["psi_9.pkl"]
+        assert (tmp_path / "psi_9.pkl").read_bytes() == blob
     finally:
         divpoly._psi_cache.clear()
-        divpoly._psi_cache.update(fresh)
+        divpoly._psi_cache.update(saved)
 
 
 def test_psi_bounds():
@@ -240,27 +226,6 @@ def test_psi_bounds():
         psi(100)
     with pytest.raises(ValueError):
         multiply_point(CurveModel(0, 1), CurvePoint.affine(2, 3), 100)
-
-
-def test_psi_cache_rewrites_unversioned_file(tmp_path, monkeypatch):
-    # a bare DivPoly pickle is the format before the cache carried a tag
-    import pickle
-
-    monkeypatch.setenv(divpoly.CACHE_ENV, str(tmp_path))
-    fresh = dict(divpoly._psi_cache)
-    divpoly._psi_cache.clear()
-    try:
-        want = psi(9)
-        blob = (tmp_path / "psi_9.pkl").read_bytes()
-        (tmp_path / "psi_9.pkl").write_bytes(pickle.dumps(want))
-        assert divpoly._load_cached(str(tmp_path / "psi_9.pkl"), 9) is None
-        divpoly._psi_cache.clear()
-        assert psi(9) == want
-        assert (tmp_path / "psi_9.pkl").read_bytes() == blob  # rewritten whole
-        assert not list(tmp_path.glob("*.tmp"))
-    finally:
-        divpoly._psi_cache.clear()
-        divpoly._psi_cache.update(fresh)
 
 
 def test_psi_stops_at_measured_limit():

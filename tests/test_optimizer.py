@@ -277,6 +277,16 @@ def test_rank_model_is_frozen_and_explicit_by_its_probabilities():
     RankModel(moment_caps=[(1.0001, 1e-9)], floors={"rank0": 0, "rank1": 1}, density=Fraction(1))
 
 
+def test_rank_model_holds_integer_bases_as_ints_and_caps_and_floors_as_floats():
+    model = RankModel(moment_caps=[[5.0, 6], (3, 4.0), [2.5, 1]], floors={"rank0": 1})
+    assert model.moment_caps == [(5, 6.0), (3, 4.0), (2.5, 1.0)]
+    assert [[type(v) for v in pair] for pair in model.moment_caps] == [
+        [int, float], [int, float], [float, float]
+    ]
+    assert model.floors == {"rank0": 1.0} and type(model.floors["rank0"]) is float
+    assert RankModel.moments().moment_caps == list(optimizer.DEFAULT_MOMENT_CAPS)
+
+
 def test_params_store_c_d_and_j_as_floats():
     params = OptimizerParams(c=0.5, D=700, s=3, J_by_rank={4: 1.25}, J_default=1.5)
     assert [type(v) for v in (params.c, params.D, params.J_default, params.J(4))] == [float] * 4
@@ -309,6 +319,30 @@ def test_search_skips_a_trial_with_an_open_tail():
     assert best.aggregate == pytest.approx(95.91844324770639, rel=1e-6)
     with pytest.raises(ValueError, match="no feasible point in grid"):
         optimize(model, {"J": [1.8, 1.9]}, refine_iters=0)
+
+
+def test_c_decides_feasibility_only():
+    # c enters no per-rank bound and no tail term: feasible c give one aggregate
+    model = RankModel.moments()
+    for c in (0.995, 0.998114, 0.9995):
+        report = aggregate_bound(model, OptimizerParams(c=c, D=1200, s=3, J_default=1.2))
+        assert report.aggregate.hex() == "0x1.94fa2cec28767p+6", c
+
+
+@pytest.mark.parametrize("D", [300, 612.117, 700, 1200, 1e4])
+def test_s_2_fails_the_roth_count(D):
+    for c in (0.5, 0.998114, 0.9999):
+        assert not check_constraints(OptimizerParams(c=c, D=D, s=2))["roth_count"], c
+
+
+def test_aggregate_does_not_decrease_along_d():
+    # at s = 3 and a fixed J, the smallest feasible D gives the best vector
+    model = RankModel.moments()
+    ds = [612.117, 650, 700, 800, 1200, 5000]
+    got = [aggregate_bound(model, OptimizerParams(c=0.998114, D=D, s=3)).aggregate for D in ds]
+    assert got == sorted(got)
+    assert got[0] == 95.91844324770639
+    assert got == pytest.approx([95.9184, 95.9184, 95.9184, 97.6937, 101.2443, 115.4466], abs=1e-4)
 
 
 def test_optimize_dominates_reference():
