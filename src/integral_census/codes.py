@@ -6,8 +6,9 @@ exponential rate, and a Delsarte-type linear-programming bound for
 projective codes in small dimension.
 
 ``best_code_bound`` takes the smallest certified bound and memoizes it by
-(r, theta).  Every LP runs on the calling thread; the optimizer solves
-only the ranks its worst case reads and starts the others at ``cap``.
+(r, theta), and the projective cap is computed once per (r, theta) as
+well.  Every LP runs on the calling thread; the optimizer solves only the
+ranks its worst case reads and starts the others at their cap.
 """
 
 from __future__ import annotations
@@ -236,6 +237,16 @@ def lp_bound(
 
 # (r, theta) -> best_code_bound result; callers share the frozen results
 _BEST: dict[tuple[int, float], CodeBoundResult] = {}
+# (r, theta) -> the projective cap_bound, which the optimizer's start vectors
+# and best_code_bound's cap candidate share
+_CAPS: dict[tuple[int, float], float] = {}
+
+
+def _projective_cap(r: int, theta: float) -> float:
+    cap = _CAPS.get((r, theta))
+    if cap is None:
+        cap = _CAPS[(r, theta)] = cap_bound(r, theta, projective=True)
+    return cap
 
 
 def best_code_bound(r: int, theta: float) -> CodeBoundResult:
@@ -257,9 +268,7 @@ def _best_code_bound(r: int, theta: float) -> CodeBoundResult:
         raise ValueError("r must be >= 2")
     if r == 2:
         return CodeBoundResult(2, theta, "rp1", float(rp1_bound(theta)))
-    candidates = [
-        CodeBoundResult(r, theta, "cap", cap_bound(r, theta, projective=True))
-    ]
+    candidates = [CodeBoundResult(r, theta, "cap", _projective_cap(r, theta))]
     if r <= _LP_R_MAX:
         lp = lp_bound(r, theta)
         if lp.certified and math.isfinite(lp.bound):

@@ -8,16 +8,20 @@ module, then aggregate over a rank distribution: either an explicit
 distribution or a worst-case linear program constrained by moment caps
 and proportion floors, with a geometric tail envelope above r_max.
 
-``aggregate_bound`` and ``optimize`` check the constraints once per
-parameter vector, not once per rank, and the code bounds are memoized by
-(r, theta) in ``codes.best_code_bound``, so parameter vectors that share a
-J share their LP solves.
+Each invariant is computed once per process: the constraint verdict by
+(c, D, s), the code bounds and the projective cap by (r, theta) in
+``codes``, and the worst-case LP by the model's rows and its input vector
+(b_0 .. b_20).  So parameter vectors that share a J share their code-bound
+LPs, and ``aggregate_bound`` at a point and a search through it share
+their worst-case LPs.
 
 The worst case reads the LP code bounds lazily.  Every rank 3..16, where
 ``best_code_bound`` would solve an LP, starts at its closed-form cap,
 which is never below the best bound.  The worst-case LP is solved, each
 rank of its support still on cap takes its best bound, and the LP is
-solved again, until every support rank holds its best bound.  With b the
+solved again, until every support rank holds its best bound.  A search
+trial also starts the support ranks of its incumbent at their best bounds,
+which its lower bound below has just read.  With b the
 vector of best bounds, b' the final vector and p' its optimum, b' >= b
 with equality on the support of p', so b.p' = b'.p' = V(b') >= V(b) >=
 b.p': the aggregate is the one every best bound gives.  An explicit model
@@ -30,8 +34,7 @@ trial, and density * sum_r p*_r b_r(trial) is at most the trial's
 aggregate.  A trial whose bound exceeds the incumbent's aggregate by more
 than 1e-6 (1 + |aggregate|) could never be accepted, and is skipped after
 its constraint check and the code bounds of the ranks with p*_r > 0 (0..3
-at the reference point), before its other LPs.  Within one search the
-worst-case LP is memoized on its input vector (b_0 .. b_20).
+at the reference point), before its other LPs.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import mpmath as mp
 import numpy as np
 from scipy.optimize import linprog
 
-from .codes import _LP_R_MAX, CodeBoundResult, best_code_bound, cap_bound
+from .codes import _LP_R_MAX, CodeBoundResult, _projective_cap, best_code_bound
 
 __all__ = [
     "OptimizerParams",
@@ -86,8 +89,9 @@ def _real(x) -> bool:
 class OptimizerParams:
     """A parameter vector (c, D, s, J), checked against the domain of the
     constraint formulas when built: c in (0, 1), D finite and > 1, s an
-    integer >= 1 and every J in (1, 2).  c, D and every J are then stored
-    as floats, so D = 700 and D = 700.0 are one vector."""
+    integer >= 1, every J in (1, 2) and every J_by_rank key an int rank
+    >= 2.  c, D and every J are then stored as floats, so D = 700 and
+    D = 700.0 are one vector."""
 
     c: float
     D: float
@@ -102,6 +106,9 @@ class OptimizerParams:
             raise ValueError(f"D must be finite and > 1, got {self.D!r}")
         if not (_real(self.s) and isinstance(self.s, int) and self.s >= 1):
             raise ValueError(f"s must be an integer >= 1, got {self.s!r}")
+        for r in self.J_by_rank:  # ranks 0 and 1 read no J
+            if not (isinstance(r, int) and not isinstance(r, bool) and r >= 2):
+                raise ValueError(f"J_by_rank must be keyed by int ranks >= 2, got key {r!r}")
         for j in (self.J_default, *self.J_by_rank.values()):
             if not (_real(j) and 1 < j < 2):
                 raise ValueError(f"J must lie in (1, 2), got {j!r}")
@@ -250,10 +257,21 @@ def check_constraints(params: OptimizerParams) -> dict:
 _INFEASIBLE = "parameters fail the feasibility constraints"
 
 
-def _feasible_constraints(params: OptimizerParams) -> dict | None:
-    """check_constraints if both inequalities hold, else None."""
-    verdict = check_constraints(params)
-    return verdict if verdict["iv_empty"] and verdict["roth_count"] else None
+def _feasible(verdict: dict) -> bool:
+    return verdict["iv_empty"] and verdict["roth_count"]
+
+
+# (c, D, s) -> check_constraints verdict
+_VERDICTS: dict[tuple[float, float, int], dict] = {}
+
+
+def _verdict(params: OptimizerParams) -> dict:
+    """check_constraints, as a new dict each call."""
+    key = (params.c, params.D, params.s)
+    verdict = _VERDICTS.get(key)
+    if verdict is None:
+        verdict = _VERDICTS[key] = check_constraints(params)
+    return dict(verdict)
 
 
 def per_rank_bound(r: int, params: OptimizerParams, code_fn=best_code_bound) -> float:
@@ -262,7 +280,7 @@ def per_rank_bound(r: int, params: OptimizerParams, code_fn=best_code_bound) -> 
         raise ValueError("rank must be nonnegative")
     if r < 2:
         return _rank_bound(r, params, None, code_fn)
-    if _feasible_constraints(params) is None:
+    if not _feasible(check_constraints(params)):
         raise ValueError(_INFEASIBLE)
     return _rank_bound(r, params, float(d_tilde(params.D)), code_fn)
 
@@ -326,52 +344,58 @@ def _start_code(r: int, theta: float) -> CodeBoundResult:
     """A rank's code bound before the worst case reads it: the cap candidate
     of best_code_bound where that would solve an LP, else the best bound."""
     if 3 <= r <= _LP_R_MAX:
-        return CodeBoundResult(r, theta, "cap", cap_bound(r, theta, projective=True))
+        return CodeBoundResult(r, theta, "cap", _projective_cap(r, theta))
     return best_code_bound(r, theta)
 
 
 def _feasible_aggregate(
-    model: RankModel,
-    params: OptimizerParams,
-    incumbent: BoundReport | None = None,
-    lp_memo: dict | None = None,
+    model: RankModel, params: OptimizerParams, incumbent: BoundReport | None = None
 ) -> BoundReport | None:
     """aggregate_bound, or None if, given an incumbent, the parameters
-    provably aggregate above it; checks the constraints once.  lp_memo maps
-    (b_0 .. b_R_LP) to a worst-case LP result.  Raises _NoBound where there
-    is no bound, and ValueError for an infeasible floor/cap combination."""
-    constraints = _feasible_constraints(params)
-    if constraints is None:
+    provably aggregate above it.  Raises _NoBound where there is no bound,
+    and ValueError for an infeasible floor/cap combination."""
+    constraints = _verdict(params)
+    if not _feasible(constraints):
         raise _NoBound(_INFEASIBLE)
     dt = float(d_tilde(params.D))
-    if incumbent is not None and _lower_bound(
-        model, params, dt, incumbent.worst_case
-    ) > incumbent.aggregate + _PRUNE_SLACK * (1 + abs(incumbent.aggregate)):
-        return None
+    best: dict[int, float] = {}  # the ranks that hold their best bound
+    if incumbent is not None:
+        best = {r: _rank_bound(r, params, dt) for r, _ in incumbent.worst_case}
+        if _lower_bound(model, best, incumbent.worst_case) > (
+            incumbent.aggregate + _PRUNE_SLACK * (1 + abs(incumbent.aggregate))
+        ):
+            return None
     tail = _tail_bound(params, dt, model)  # before the LPs, which an open tail makes moot
     per_rank = {r: _rank_bound(r, params, dt, _start_code) for r in range(0, _R_MAX + 1)}
+    per_rank.update(best)
     if (probs := model.probabilities) is not None:  # tail is 0 here
         worst_case = tuple((r, p) for r, p in sorted(probs.items()) if p > 0)
         for r, _ in worst_case:
             per_rank[r] = _rank_bound(r, params, dt)
         agg = float(model.density) * sum(p * per_rank[r] for r, p in probs.items())
         return BoundReport(per_rank, agg, constraints, params, tail, worst_case=worst_case)
-    memo = {} if lp_memo is None else lp_memo
-    read: set[int] = set()  # the ranks that hold their best bound
     while True:
-        b = tuple(per_rank[r] for r in range(_R_LP + 1))
-        if b not in memo:
-            memo[b] = _worst_case_lp(model, b)
-        value, worst_case = memo[b]
-        unread = [r for r, _ in worst_case if r not in read]
+        value, worst_case = _worst_case(model, tuple(per_rank[r] for r in range(_R_LP + 1)))
+        unread = [r for r, _ in worst_case if r not in best]
         if not unread:
             break
         # ranks outside 3..16 start at their best bound, so b may not move
         for r in unread:
-            per_rank[r] = _rank_bound(r, params, dt)
-        read.update(unread)
+            per_rank[r] = best[r] = _rank_bound(r, params, dt)
     agg = float(model.density) * value + tail
     return BoundReport(per_rank, agg, constraints, params, tail, worst_case=worst_case)
+
+
+# (moment caps, floors, b), the LP's rows and objective -> _worst_case_lp result
+_WORST_CASES: dict[tuple, tuple] = {}
+
+
+def _worst_case(model: RankModel, b: tuple[float, ...]) -> tuple:
+    key = (tuple(model.moment_caps), tuple(sorted(model.floors.items())), b)
+    result = _WORST_CASES.get(key)
+    if result is None:
+        result = _WORST_CASES[key] = _worst_case_lp(model, b)
+    return result
 
 
 def _worst_case_lp(
@@ -421,19 +445,16 @@ _PRUNE_SLACK = 1e-6
 
 
 def _lower_bound(
-    model: RankModel,
-    params: OptimizerParams,
-    dt: float,
-    worst_case: tuple[tuple[int, float], ...],
+    model: RankModel, b: dict[int, float], worst_case: tuple[tuple[int, float], ...]
 ) -> float:
-    """density * sum_r p_r b_r(params) over another vector's worst case p.
+    """density * sum_r p_r b_r over another vector's worst case p, with b
+    a trial's best bounds of the ranks in p.
 
     p is feasible for every parameter vector, since the LP constraints
     depend on the model alone, and every b_r and the tail are >= 0; so
-    this is at most the aggregate at params.  It needs the code bounds of
-    the ranks in p alone.
+    this is at most the trial's aggregate.
     """
-    return float(model.density) * sum(p * _rank_bound(r, params, dt) for r, p in worst_case)
+    return float(model.density) * sum(p * b[r] for r, p in worst_case)
 
 
 def _search_grid(grid: dict) -> dict:
@@ -466,10 +487,9 @@ def optimize(
     best = None
     best_key = None
     evaluated = []
-    lp_memo: dict = {}
     for params in candidates:
         try:
-            report = _feasible_aggregate(model, params, best, lp_memo)
+            report = _feasible_aggregate(model, params, best)
         except _NoBound:
             continue
         if report is None:  # pruned
@@ -480,13 +500,13 @@ def optimize(
             best, best_key = report, key
     if best is None:
         raise ValueError("no feasible point in grid")
-    best = _refine(model, best, refine_iters, lp_memo)
+    best = _refine(model, best, refine_iters)
     if evaluated and best.aggregate > min(evaluated) + 1e-12:
         raise AssertionError("refinement must not lose to an evaluated grid point")
     return _shown(best)
 
 
-def _refine(model: RankModel, report: BoundReport, iters: int, lp_memo: dict) -> BoundReport:
+def _refine(model: RankModel, report: BoundReport, iters: int) -> BoundReport:
     steps = {"c": 0.0005, "D": 50.0, "J_default": 0.02}
     best = report
     for _ in range(iters):
@@ -499,7 +519,7 @@ def _refine(model: RankModel, report: BoundReport, iters: int, lp_memo: dict) ->
                 except ValueError:  # a step out of the parameter domain
                     continue
                 try:
-                    cand = _feasible_aggregate(model, trial, best, lp_memo)
+                    cand = _feasible_aggregate(model, trial, best)
                 except _NoBound:
                     continue
                 if cand is not None and cand.aggregate < best.aggregate - 1e-12:

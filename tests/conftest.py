@@ -1,10 +1,11 @@
 """Shared test plumbing: collect acceptance verdict lines and print them
 in the terminal summary (fd-level capture would otherwise swallow them),
-and record the calls into the x-scan."""
+record the calls into the x-scan, and empty the process-wide memos of the
+code bounds and the optimizer."""
 
 import pytest
 
-from integral_census import _scan
+from integral_census import _scan, codes, optimizer
 
 verdict_lines: list[str] = []
 
@@ -30,3 +31,17 @@ def scan_calls(monkeypatch):
 
         monkeypatch.setattr(_scan, name, recording)
     return calls
+
+
+@pytest.fixture
+def cold_memos(monkeypatch):
+    """Give every code-bound and optimizer memo an empty dict, for the test
+    and again at each call of the returned function."""
+
+    def cold():
+        for module, name in ((codes, "_BEST"), (codes, "_CAPS"),
+                             (optimizer, "_VERDICTS"), (optimizer, "_WORST_CASES")):
+            monkeypatch.setattr(module, name, {})
+
+    cold()
+    return cold

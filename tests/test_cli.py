@@ -811,6 +811,8 @@ _REPORT_FROZEN = {
         "4c69963c77e67ad9c7531313d833990aad40d119a53727ca5068937bae0b50cd",
     ("optimize", "--model", "minimalist"):
         "79b90b99a3cc220c198375c95e157a3846fbf0fad9779ea69fb401bd3ef3f72d",
+    ("optimize", "--model", "moments"):
+        "de0262170447853327e5f7ed3cd1c4c2b95e36c46547b5f6bbd03167d4f9697c",
 }
 
 
@@ -829,6 +831,24 @@ def test_emitted_text_is_the_canonical_json_of_the_report(argv, capsys):
     body = _canonical_json({"config": doc["config"], "results": doc["results"]})
     assert doc["content_hash"] == hashlib.sha256(body.encode()).hexdigest()
     assert doc["content_hash"] == _REPORT_FROZEN.get(argv, doc["content_hash"])
+
+
+def test_a_search_leaves_the_frozen_moments_report_as_it_was(
+    tmp_path, capsys, monkeypatch, cold_memos
+):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text('grid = {"c": [0.998114], "D": [612.117], "s": [3], "J": [1.2]}\n')
+    status, searched, _ = _run(["optimize", "--model", "moments", "--search", "--config", str(cfg)],
+                               capsys)
+    assert status == 0
+    # the search's first point is the reference point: its worst cases are memoized
+    solves = []
+    monkeypatch.setattr(optimizer, "linprog", lambda *args, **kwargs: solves.append(args))
+    argv = ("optimize", "--model", "moments")
+    status, doc, _ = _run(list(argv), capsys)
+    assert status == 0 and solves == []
+    assert doc["content_hash"] == _REPORT_FROZEN[argv]
+    assert searched["results"]["aggregate"] <= doc["results"]["aggregate"]
 
 
 def test_parser_lists_all_subcommands():

@@ -58,6 +58,9 @@ def test_infeasible_parameters_detected():
         ({"D": 1.0}, "D"), ({"D": math.inf}, "D"), ({"D": math.nan}, "D"),
         ({"s": 3.0}, "s"), ({"s": 0}, "s"), ({"s": True}, "s"),
         ({"J_default": 2.0}, "J"), ({"J_by_rank": {5: 1.0}}, "J"),
+        # keys no rank reads, and True, which would be read as rank 1
+        ({"J_by_rank": {"3": 1.3}}, "J_by_rank"), ({"J_by_rank": {-1: 1.5}}, "J_by_rank"),
+        ({"J_by_rank": {True: 1.4}}, "J_by_rank"),
     ],
 )
 def test_params_outside_the_domain_raise(given, named):
@@ -102,11 +105,51 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_aggregate_checks_constraints_once(monkeypatch):
+def test_aggregate_checks_constraints_once(monkeypatch, cold_memos):
     calls = _counting(monkeypatch, optimizer, "check_constraints")
     report = aggregate_bound(RankModel.moments())
     assert len(calls) == 1
     assert report.aggregate == pytest.approx(95.91844324770639, rel=1e-6)
+    # the verdict is memoized by (c, D, s)
+    other_j = dataclasses.replace(REFERENCE_PARAMS, J_default=1.3)
+    assert aggregate_bound(RankModel.moments(), other_j).constraints == report.constraints
+    assert len(calls) == 1
+
+
+def test_a_changed_report_leaves_the_memoized_verdict_as_it_was(cold_memos):
+    report = aggregate_bound(RankModel.moments())
+    report.constraints["roth_count"] = False
+    report.constraints["kappa"] = 0.0
+    again = aggregate_bound(RankModel.moments())
+    assert again.constraints == check_constraints(REFERENCE_PARAMS)
+    assert again.constraints["roth_count"] and again.constraints["kappa"] > 4
+
+
+@pytest.mark.parametrize(
+    "other",
+    [RankModel(floors={**optimizer.DEFAULT_FLOORS, "rank1": 0.25}),
+     RankModel(moment_caps=[(3, 4.0), (5, 7.0)])],
+    ids=["floors", "moment_caps"],
+)
+def test_models_that_differ_in_one_lp_row_share_no_worst_case(other, cold_memos):
+    cold = aggregate_bound(other)
+    cold_memos()
+    moments = aggregate_bound(RankModel.moments())
+    assert aggregate_bound(other) == cold
+    assert (cold.aggregate, cold.worst_case) != (moments.aggregate, moments.worst_case)
+    # the two models start at one vector b, and each solved its own LP there
+    start = next(iter(optimizer._WORST_CASES))[2]
+    assert {key[:2] for key in optimizer._WORST_CASES if key[2] == start} == {
+        (tuple(m.moment_caps), tuple(sorted(m.floors.items())))
+        for m in (RankModel.moments(), other)
+    }
+
+
+def test_each_projective_cap_is_computed_once(monkeypatch, cold_memos):
+    caps = _counting(monkeypatch, codes, "cap_bound")
+    aggregate_bound(RankModel.moments())
+    optimize(RankModel.moments(), _SEARCH_GRIDS[0], refine_iters=2)
+    assert len(caps) == len(set(caps)) == len(codes._CAPS)
 
 
 def test_aggregate_reuses_code_bounds_across_d(monkeypatch):
@@ -118,8 +161,9 @@ def test_aggregate_reuses_code_bounds_across_d(monkeypatch):
     assert second.per_rank != first.per_rank
 
 
-def test_aggregate_solves_the_support_then_the_report_ranks_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(codes, "_BEST", {})
+def test_aggregate_solves_the_support_then_the_report_ranks_on_the_calling_thread(
+    monkeypatch, cold_memos
+):
     solved = []
     solve = codes.lp_bound
 
@@ -177,28 +221,31 @@ def test_the_cap_start_alone_is_not_the_aggregate():
 
 
 @pytest.mark.parametrize("search", [False, True])
-def test_a_cold_and_a_warm_memo_give_one_report(search, monkeypatch):
+def test_a_cold_and_a_warm_memo_give_one_report(search, monkeypatch, cold_memos):
     model = RankModel.moments()
     grid = {"J": [1.2, 1.3]}
 
     def run():
         return optimize(model, grid, refine_iters=1) if search else aggregate_bound(model)
 
-    monkeypatch.setattr(codes, "_BEST", {})
     cold = run()
     for j in (1.2, 1.3, 1.3 - 0.02, 1.3 + 0.02, 1.2 - 0.02, 1.2 + 0.02):
         for r in range(2, codes._LP_R_MAX + 1):
             codes.best_code_bound(r, math.acos(j / 2))
+    # the verdicts and worst cases of the other run and of a longer search
+    aggregate_bound(model) if search else optimize(model, grid, refine_iters=1)
+    optimize(model, grid, refine_iters=3)
+    solves = _counting(monkeypatch, optimizer, "linprog")
     warm = run()
     assert warm == cold
+    assert solves == []  # every worst case came from the memo
     # a start read from the memo would give rank 16 its LP bound
     lp16 = codes.best_code_bound(16, math.acos(cold.params.J(16) / 2))
     assert lp16.method == "lp" and cold.per_rank[16] > optimizer._rank_bound(
         16, cold.params, float(d_tilde(cold.params.D)))
 
 
-def test_a_minimalist_search_solves_only_the_report_ranks(monkeypatch):
-    monkeypatch.setattr(codes, "_BEST", {})
+def test_a_minimalist_search_solves_only_the_report_ranks(monkeypatch, cold_memos):
     lps = _counting(monkeypatch, codes, "lp_bound")
     grid = {"c": [0.998114], "D": [612.117], "s": [3], "J": [1.2]}
     best = optimize(RankModel.minimalist(), grid)
@@ -209,8 +256,7 @@ def test_a_minimalist_search_solves_only_the_report_ranks(monkeypatch):
         assert best.per_rank[r] == per_rank_bound(r, best.params)
 
 
-def test_optimize_starts_no_thread(monkeypatch):
-    monkeypatch.setattr(codes, "_BEST", {})
+def test_optimize_starts_no_thread(monkeypatch, cold_memos):
     started = _counting(monkeypatch, threading.Thread, "start")
     optimize(RankModel.moments(), _SEARCH_GRIDS[0], refine_iters=2)
     assert started == []
@@ -355,13 +401,12 @@ def test_optimize_dominates_reference():
     assert verdict["iv_empty"] and verdict["roth_count"]
 
 
-def test_optimize_checks_each_vector_once(monkeypatch):
-    # keep every checked vector alive so that ids cannot be reused
+def test_optimize_checks_each_vector_once(monkeypatch, cold_memos):
     checked = _counting(monkeypatch, optimizer, "check_constraints")
     best = optimize(RankModel.moments())
     assert best.aggregate == 68.51622423555939
-    assert len(checked) > 54  # the 54-point default grid, then refinement
-    assert len({id(args[0]) for args in checked}) == len(checked)
+    assert len(checked) > 18  # the 18 (c, D, s) of the default grid, then refinement
+    assert len({(p.c, p.D, p.s) for p, in checked}) == len(checked)
 
 
 # the bound workload's seed-0 grid, and two copies with the non-reference
@@ -378,20 +423,21 @@ def _no_pruning(monkeypatch):
 
 
 @pytest.mark.parametrize("grid", _SEARCH_GRIDS)
-def test_pruning_keeps_the_search_result(grid, monkeypatch):
+def test_pruning_keeps_the_search_result(grid, monkeypatch, cold_memos):
     model = RankModel.moments()
     solves = _counting(monkeypatch, optimizer, "linprog")
     pruned = optimize(model, grid, refine_iters=2)
     pruned_solves = len(solves)
     _no_pruning(monkeypatch)
+    cold_memos()
     assert pruned == optimize(model, grid, refine_iters=2)
     assert 0 < pruned_solves < len(solves) - pruned_solves
 
 
-def test_pruning_counts_on_the_bound_grid(monkeypatch):
-    # the bound workload: the reference point, then the search, on a cold memo
+def test_pruning_counts_on_the_bound_grid(monkeypatch, cold_memos):
+    # the bound workload: the reference point, then the search, on cold memos
     def solves():
-        monkeypatch.setattr(codes, "_BEST", {})
+        cold_memos()
         lps = _counting(monkeypatch, codes, "lp_bound")
         aggregate_lps = _counting(monkeypatch, optimizer, "linprog")
         aggregate_bound(RankModel.moments())
@@ -399,12 +445,12 @@ def test_pruning_counts_on_the_bound_grid(monkeypatch):
         monkeypatch.undo()
         return len(lps), len(aggregate_lps)
 
-    assert solves() == (21, 15)
+    assert solves() == (21, 9)
     _no_pruning(monkeypatch)
-    assert solves() == (22, 24)
+    assert solves() == (22, 15)
 
 
-def test_pruning_on_the_default_grid_is_sound(monkeypatch):
+def test_pruning_on_the_default_grid_is_sound(monkeypatch, cold_memos):
     model = RankModel.moments()
     solves = _counting(monkeypatch, optimizer, "linprog")
     pruned = optimize(model)
@@ -414,16 +460,18 @@ def test_pruning_on_the_default_grid_is_sound(monkeypatch):
     lower_bound, feasible_aggregate = optimizer._lower_bound, optimizer._feasible_aggregate
     trials = []
 
-    def recorded(model, params, incumbent=None, lp_memo=None):
-        report = feasible_aggregate(model, params, incumbent, lp_memo)
+    def recorded(model, params, incumbent=None):
+        report = feasible_aggregate(model, params, incumbent)
         if incumbent is not None and report is not None:
             dt = float(d_tilde(params.D))
-            lb = lower_bound(model, params, dt, incumbent.worst_case)
+            best = {r: optimizer._rank_bound(r, params, dt) for r, _ in incumbent.worst_case}
+            lb = lower_bound(model, best, incumbent.worst_case)
             trials.append((lb, report.aggregate, incumbent.aggregate))
         return report
 
     monkeypatch.setattr(optimizer, "_feasible_aggregate", recorded)
     _no_pruning(monkeypatch)
+    cold_memos()
     assert pruned == optimize(model)
     assert 0 < pruned_solves < len(solves) - pruned_solves
     assert all(lb <= aggregate for lb, aggregate, _ in trials)
