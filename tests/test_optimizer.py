@@ -232,9 +232,7 @@ def test_a_cold_and_a_warm_memo_give_one_report(search, monkeypatch, cold_memos)
     for j in (1.2, 1.3, 1.3 - 0.02, 1.3 + 0.02, 1.2 - 0.02, 1.2 + 0.02):
         for r in range(2, codes._LP_R_MAX + 1):
             codes.best_code_bound(r, math.acos(j / 2))
-    # the verdicts and worst cases of the other run and of a longer search
-    aggregate_bound(model) if search else optimize(model, grid, refine_iters=1)
-    optimize(model, grid, refine_iters=3)
+    optimize(model, grid, refine_iters=3)  # more verdicts and worst cases
     solves = _counting(monkeypatch, optimizer, "linprog")
     warm = run()
     assert warm == cold
