@@ -396,6 +396,11 @@ def _cmd_code_bound(args) -> tuple[dict, dict]:
         )
     elif args.method == "lp":
         res = codes.lp_bound(args.r, args.theta, config["degree"], config["grid_size"])
+        if not math.isfinite(res.bound):
+            raise ValueError(
+                f"the LP at r = {args.r}, theta = {args.theta} gives no bound: "
+                + res.detail["status"]
+            )
     else:
         res = codes.best_code_bound(args.r, args.theta)
     results = {

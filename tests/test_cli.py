@@ -291,6 +291,15 @@ def test_code_bound_methods(capsys):
     assert status == 0 and doc["results"]["certified"]
 
 
+def test_code_bound_lp_without_a_solution_exits_1_naming_its_status(capsys):
+    # the degree-20 LP is infeasible at r = 16 and theta = 0.3175: it gives no bound
+    status, doc = run(["code-bound", "--r", "16", "--theta", "0.3175", "--method", "lp"])
+    assert status == 1 and doc is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: the LP at r = 16, theta = 0.3175 gives no bound")
+    assert "primal_status is Infeasible" in err
+
+
 def test_code_bound_rp1_rejects_r_other_than_2(capsys):
     status, doc = run(["code-bound", "--r", "5", "--theta", "1.0", "--method", "rp1"])
     assert status == 1 and doc is None

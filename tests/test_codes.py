@@ -199,16 +199,24 @@ def test_fine_grid_check_passes_a_certified_optimum_only_with_nonnegative_coeffi
     assert not codes._fine_grid_check(4, coeffs, 0.5, 4000)[1]
 
 
-@pytest.mark.parametrize("theta", [0.2, PI3, R15_THETA, math.acos(0.95), 1.5])
-def test_projective_cap_bound_matches_closed_form_bitwise(theta):
-    for r in range(3, 81):
+# J = 2 cos(theta): the bound workload's grid, 1.428316 and a spread over (0, 2)
+_CAP_JS = (
+    0.1, 0.5, 1.0, 1.1, 1.2, 1.25, 1.28, 1.3, 1.32, 1.34, 1.36,
+    1.4, 1.428316, 1.45, 1.5, 1.6, 1.7, 1.8, 1.9, 1.96, 1.99,
+)
+
+
+@pytest.mark.parametrize("j", _CAP_JS)
+def test_projective_cap_bound_matches_closed_form_bitwise(j):
+    # cap_bound takes a square root to the power r - 1; the closed form
+    # takes 1/2 - J/4 to the power (1 - r)/2 through exp and log
+    theta = math.acos(j / 2)
+    with mp.workdps(50):
+        j50 = 2 * mp.cos(mp.mpf(theta))
+        base, tail = mp.mpf(1) / 2 - j50 / 4, (mp.mpf(1) / 2 + j50 / 4) ** (mp.mpf(-1) / 2)
+    for r in range(3, 221):
         with mp.workdps(50):
-            j = 2 * mp.cos(mp.mpf(theta))
-            want = float(
-                mp.sqrt(3 * r)
-                * (mp.mpf(1) / 2 - j / 4) ** ((1 - r) / mp.mpf(2))
-                * (mp.mpf(1) / 2 + j / 4) ** (mp.mpf(-1) / 2)
-            )
+            want = float(mp.sqrt(3 * r) * base ** ((1 - r) / mp.mpf(2)) * tail)
         assert cap_bound(r, theta, projective=True) == want
 
 
@@ -231,3 +239,48 @@ def test_code_bounds_fall_back_to_cap_where_the_lp_fails_its_certificate(monkeyp
                 fallbacks.add((r, j))
     assert len(codes._BEST) == len(_BOUND_JS) * len(ranks)
     assert fallbacks == _CAP_FALLBACKS
+
+
+def _presolved_lp_bound(monkeypatch, r, theta, degree=20, grid_size=400):
+    """lp_bound with HiGHS presolve on, the oracle for the solve without it."""
+    solve = codes.linprog
+
+    def presolving_linprog(*args, options, **kwargs):
+        assert options == {"presolve": False}
+        return solve(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(codes, "linprog", presolving_linprog)
+        return lp_bound(r, theta, degree, grid_size)
+
+
+# the bound workload's LP code bounds at seed 0, its cap fallbacks, and LPs
+# that HiGHS finds infeasible
+_BOUND_LPS = {
+    (3, 1.2), (3, 1.28), (3, 1.3), (3, 1.32), (3, 1.34),
+    (4, 1.2), (4, 1.3), (4, 1.32), (4, 1.34),
+    *((r, j) for r in range(5, 11) for j in (1.2, 1.34)),
+}
+_INFEASIBLE_LPS = {(16, 1.9), (16, 1.95), (16, 1.99)}
+
+
+@pytest.mark.parametrize(
+    "r, j, degree, grid_size",
+    [(r, j, 20, 400) for r, j in sorted(_BOUND_LPS | _CAP_FALLBACKS | _INFEASIBLE_LPS)]
+    # degree 2 is feasible at (3, 1.0) and infeasible at (5, 1.3)
+    + [(r, j, d, g) for r, j in ((3, 1.0), (5, 1.3)) for d in (2, 40) for g in (200, 4000)],
+)
+def test_lp_bound_without_presolve_gives_the_presolved_bits(monkeypatch, r, j, degree, grid_size):
+    theta = math.acos(j / 2)
+    got = lp_bound(r, theta, degree, grid_size)
+    want = _presolved_lp_bound(monkeypatch, r, theta, degree, grid_size)
+    assert got.bound == want.bound and got.certified == want.certified
+    if math.isfinite(want.bound):
+        assert got.detail["fine_grid_max"] == want.detail["fine_grid_max"]
+    else:
+        # presolve ends with primal_status None; without it HiGHS names the status
+        assert "primal_status is Infeasible" in got.detail["status"]
+        assert "model_status is Infeasible" in want.detail["status"]
+    infeasible = (r, j) in _INFEASIBLE_LPS or (r, j, degree) == (5, 1.3, 2)
+    assert math.isinf(got.bound) == infeasible
+    assert got.certified == ((r, j) not in _CAP_FALLBACKS and not infeasible)
