@@ -199,21 +199,23 @@ def test_fine_grid_check_passes_a_certified_optimum_only_with_nonnegative_coeffi
     assert not codes._fine_grid_check(4, coeffs, 0.5, 4000)[1]
 
 
-# J = 2 cos(theta): the bound workload's grid, 1.428316 and a spread over (0, 2)
+# J = 2 cos(theta) past the thetas below: the rest of the bound workload's
+# grid (R15_THETA is J = 1.3), 1.428316, and a spread over (0, 2)
 _CAP_JS = (
-    0.1, 0.5, 1.0, 1.1, 1.2, 1.25, 1.28, 1.3, 1.32, 1.34, 1.36,
-    1.4, 1.428316, 1.45, 1.5, 1.6, 1.7, 1.8, 1.9, 1.96, 1.99,
+    0.1, 0.5, 1.1, 1.2, 1.25, 1.28, 1.32, 1.34, 1.36, 1.4,
+    1.428316, 1.45, 1.5, 1.6, 1.7, 1.8, 1.99,
 )
 
 
-@pytest.mark.parametrize("j", _CAP_JS)
-def test_projective_cap_bound_matches_closed_form_bitwise(j):
+@pytest.mark.parametrize(
+    "theta", [0.2, PI3, R15_THETA, math.acos(0.95), 1.5] + [math.acos(j / 2) for j in _CAP_JS]
+)
+def test_projective_cap_bound_matches_closed_form_bitwise(theta):
     # cap_bound takes a square root to the power r - 1; the closed form
     # takes 1/2 - J/4 to the power (1 - r)/2 through exp and log
-    theta = math.acos(j / 2)
     with mp.workdps(50):
-        j50 = 2 * mp.cos(mp.mpf(theta))
-        base, tail = mp.mpf(1) / 2 - j50 / 4, (mp.mpf(1) / 2 + j50 / 4) ** (mp.mpf(-1) / 2)
+        j = 2 * mp.cos(mp.mpf(theta))
+        base, tail = mp.mpf(1) / 2 - j / 4, (mp.mpf(1) / 2 + j / 4) ** (mp.mpf(-1) / 2)
     for r in range(3, 221):
         with mp.workdps(50):
             want = float(mp.sqrt(3 * r) * base ** ((1 - r) / mp.mpf(2)) * tail)
@@ -241,7 +243,7 @@ def test_code_bounds_fall_back_to_cap_where_the_lp_fails_its_certificate(monkeyp
     assert fallbacks == _CAP_FALLBACKS
 
 
-def _presolved_lp_bound(monkeypatch, r, theta, degree=20, grid_size=400):
+def _presolved_lp_bound(monkeypatch, r, theta, degree, grid_size):
     """lp_bound with HiGHS presolve on, the oracle for the solve without it."""
     solve = codes.linprog
 
