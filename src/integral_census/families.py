@@ -357,10 +357,6 @@ def enumerate_family(family: Family, T: float) -> Iterator[CurveModel]:
             yield CurveModel(a, b)
 
 
-# b-values per numpy pass over a universal row; bounds its working memory
-_ROW_CHUNK = 1 << 16
-
-
 def _check_T(T: float) -> None:
     if not (math.isfinite(T) and T >= 1):
         raise ValueError(f"T must be finite and >= 1, got {T!r}")
@@ -376,15 +372,14 @@ def _member_rows(family: Family, T: float) -> Iterator[tuple[int, list[int]]]:
     if family is Family.UNIVERSAL:
         if b_max >= np.iinfo(np.int64).max:
             raise ValueError(f"T = {T!r} is too large: |b| <= {b_max} does not fit int64")
-        return _universal_rows(a_max, b_max)
+        return ((a, _universal_row(a, b_max)) for a in range(-a_max, a_max + 1))
     if family is Family.MORDELL:
         return iter([(0, _power_free(b_max, 6))])
     if family is Family.B0:
         return ((a, [0]) for a in _power_free(a_max, 4))
     if family is Family.CONGRUENT:
         # a = -D^2, so 4|a|^3 <= T^6 exactly when D^2 <= a_max
-        d_max = math.isqrt(a_max)
-        return ((-d * d, [0]) for d in range(1, d_max + 1) if _squarefree_positive(d))
+        return ((-d * d, [0]) for d in _power_free(math.isqrt(a_max), 2) if d > 0)
     raise ValueError(family)
 
 
@@ -393,32 +388,32 @@ def _power_free(n_max: int, k: int) -> list[int]:
     _has_power(n, k) is false, by striking the multiples of each m^k <= n_max
     (composite m strike nothing new) instead of factoring each n."""
     keep = np.ones(2 * n_max + 1, dtype=bool)
-    keep[n_max] = False  # n = 0, singular in both families
+    keep[n_max] = False  # n = 0 gives a singular model in every family
     for m in range(2, _iroot(n_max, k) + 1):
         # index n + n_max; the least multiple of m^k above -n_max - 1 sits at n_max % m^k
         keep[n_max % m**k :: m**k] = False
     return (np.flatnonzero(keep) - n_max).tolist()
 
 
-def _universal_rows(a_max: int, b_max: int) -> Iterator[tuple[int, list[int]]]:
-    """The quasiminimal nonsingular (a, b) with |a| <= a_max, |b| <= b_max, by rows."""
-    for a in range(-a_max, a_max + 1):
-        # 4a^3 + 27b^2 = 0 exactly at a = -3k^2, b = +-2k^3
-        k = math.isqrt(-a // 3) if a <= 0 else 0
-        singular = {2 * k**3, -2 * k**3} if 3 * k * k == -a else set()
-        row: list[int] = []
-        for lo in range(-b_max, b_max + 1, _ROW_CHUNK):
-            b = np.arange(lo, min(lo + _ROW_CHUNK, b_max + 1), dtype=np.int64)
-            g = np.gcd(a, b)
-            # gcd < 16 has no fourth-power divisor: only the rest need factoring
-            keep = g < 16
-            for i in np.flatnonzero(~keep).tolist():
-                keep[i] = _quasiminimal(a, lo + i)
-            for s in singular:
-                if lo <= s < lo + len(b):
-                    keep[s - lo] = False
-            row += b[keep].tolist()
-        yield a, row
+def _universal_row(a: int, b_max: int) -> list[int]:
+    """The b with |b| <= b_max and (a, b) quasiminimal and nonsingular, ascending.
+
+    p^4 | a and p^6 | b for a prime p exactly when m^4 | a and m^6 | b for
+    some m >= 2, so the multiples of m^6 are struck for each m^4 | a.  m is
+    not capped by b_max: b = 0 is a multiple of every m^6.
+    """
+    if a == 0:
+        return _power_free(b_max, 6)
+    keep = np.ones(2 * b_max + 1, dtype=bool)
+    for m in range(2, _iroot(abs(a), 4) + 1):
+        if a % m**4 == 0:
+            # index b + b_max, as in _power_free
+            keep[b_max % m**6 :: m**6] = False
+    # 4a^3 + 27b^2 = 0 exactly at a = -3k^2, b = +-2k^3
+    k = math.isqrt(-a // 3) if a < 0 else 0
+    if 3 * k * k == -a and 2 * k**3 <= b_max:
+        keep[b_max - 2 * k**3] = keep[b_max + 2 * k**3] = False
+    return np.arange(-b_max, b_max + 1, dtype=np.int64)[keep].tolist()
 
 
 def _is_square(n: int) -> bool:

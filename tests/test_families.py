@@ -115,21 +115,55 @@ def _brute_force_members(family: Family, T: float) -> list[CurveModel]:
     """is_family_member over the whole box of naive height <= T, with the
     height compared exactly, in enumeration order."""
     t6 = Fraction(T) ** 6
+    bs = [b for b in range(-math.ceil(T**3), math.ceil(T**3) + 1) if 27 * b * b <= t6]
     out = [
-        CurveModel(a, b)
+        c
         for a in range(-math.ceil(T**2), math.ceil(T**2) + 1)
         if 4 * abs(a) ** 3 <= t6
-        for b in range(-math.ceil(T**3), math.ceil(T**3) + 1)
-        if 27 * b * b <= t6 and is_family_member(CurveModel(a, b), family)
+        for b in bs
+        if is_family_member(c := CurveModel(a, b), family)
     ]
     # the congruent family runs by ascending D, one curve per a
     return out[::-1] if family is Family.CONGRUENT else out
 
 
 @pytest.mark.parametrize("family", list(Family))
-@pytest.mark.parametrize("T", [1, 2.5, 4, 7.3])
+@pytest.mark.parametrize("T", [1, 2.5, 4, 6, 7.3])
 def test_enumerate_equals_brute_force_walk(family, T):
+    # at T = 6 the rows a = +-16 have b_max = 41 < 2^6: only b = 0 is struck there
     assert list(enumerate_family(family, T)) == _brute_force_members(family, T)
+
+
+def test_enumerate_universal_at_T16_equals_brute_force_walk():
+    # a_max = 161, b_max = 788: the rows a = +-81 strike b in {0, +-729}
+    assert families._coeff_bounds(16) == (161, 788)
+    curves = list(enumerate_family(Family.UNIVERSAL, 16))
+    assert curves == _brute_force_members(Family.UNIVERSAL, 16)
+    assert {c.b for c in curves if c.a == 81} == set(range(-788, 789)) - {0, -729, 729}
+
+
+@pytest.mark.parametrize("a", [625, -1250, 1296, -1200])
+def test_universal_row_matches_quasiminimal_per_cell(a):
+    """Rows with 5^4 | a and b_max >= 5^6; 1296 = 6^4 strikes the multiples
+    of 2^6 and 3^6, and b = 0 for 6^6 > b_max; a = -1200 = -3 * 20^2 is also
+    singular at b = +-16000."""
+    a_max, b_max = families._coeff_bounds(46)
+    assert abs(a) <= a_max and b_max >= 5**6
+    want = [
+        b
+        for b in range(-b_max, b_max + 1)
+        if discriminant(a, b) != 0 and families._quasiminimal(a, b)
+    ]
+    assert families._universal_row(a, b_max) == want
+
+
+def test_enumeration_factors_nothing(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumeration factored {n}")
+
+    monkeypatch.setattr(families, "_factorint", refuse)
+    for family in Family:
+        assert sum(len(bs) for _, bs in families._member_rows(family, 16)) > 0
 
 
 @pytest.mark.parametrize("k", [4, 6])
