@@ -142,11 +142,11 @@ def test_enumerate_universal_at_T16_equals_brute_force_walk():
     assert {c.b for c in curves if c.a == 81} == set(range(-788, 789)) - {0, -729, 729}
 
 
-@pytest.mark.parametrize("a", [625, -1250, 1296, -1200])
+@pytest.mark.parametrize("a", [625, -1250, 1296, -1083])
 def test_universal_row_matches_quasiminimal_per_cell(a):
-    """Rows with 5^4 | a and b_max >= 5^6; 1296 = 6^4 strikes the multiples
-    of 2^6 and 3^6, and b = 0 for 6^6 > b_max; a = -1200 = -3 * 20^2 is also
-    singular at b = +-16000."""
+    """At T = 46, b_max = 18732 >= 5^6: rows 625 and -1250 lose b in
+    {0, +-15625}, 1296 = 2^4 3^4 the multiples of 2^6 and 3^6, and
+    -1083 = -3 * 19^2, with no fourth power, only its singular b = +-13718."""
     a_max, b_max = families._coeff_bounds(46)
     assert abs(a) <= a_max and b_max >= 5**6
     want = [
