@@ -334,6 +334,10 @@ def _cmd_gap_survey(args) -> tuple[dict, dict]:
     return config, results
 
 
+# (a, b, x, y): the point (x, y) of y^2 = x^3 + a x + b, with a, b, x, y != 0
+_PSI_POINTS = ((-7, 10, 1, 2), (1, 6, 3, 6))
+
+
 def _cmd_divpoly_verify(args) -> tuple[dict, dict]:
     config = {
         "subcommand": "divpoly-verify",
@@ -345,17 +349,26 @@ def _cmd_divpoly_verify(args) -> tuple[dict, dict]:
     growth = divpoly.verify_coeff_growth(args.n_max, args.k1, args.k2, args.k3)
     homogeneous = True
     leading = True
+    memos = [{} for _ in _PSI_POINTS]
     for n in range(1, args.n_max + 1):
         poly = divpoly.psi(n)
         # psi_n has weight (n^2 - 1) / 2 with y of weight 3/2, and every
         # term's implied x-exponent xpart_weight - 2 f_A - 3 f_B is >= 0
-        if 2 * poly.xpart_weight + 3 * poly.y_factor != n * n - 1 or any(
-            2 * fa + 3 * fb > poly.xpart_weight for fa, fb in poly.xterms
-        ):
+        shaped = 2 * poly.xpart_weight + 3 * poly.y_factor == n * n - 1 and all(
+            2 * fa + 3 * fb <= poly.xpart_weight for fa, fb in poly.xterms
+        )
+        if not shaped:
             homogeneous = False
         if poly.x_leading_coeff() != n:
             leading = False
         if n >= 2 and poly.x_coeff(poly.x_degree() - 1):
+            leading = False
+        # the built psi_n against the numeric recursion, which shares no code
+        # with the build: a wrong coefficient anywhere changes the value
+        if shaped and any(
+            poly.value(a, b, x, y) != divpoly._psi_val(n, Fraction(x), Fraction(y), a, b, memo)
+            for (a, b, x, y), memo in zip(_PSI_POINTS, memos)
+        ):
             leading = False
     results = {
         "coeff_growth": growth,

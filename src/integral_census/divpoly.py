@@ -5,12 +5,31 @@ Symbolic psi_n live in Z[x, A, B] with at most one explicit factor of y
 (x:1, A:2, B:3, y:3/2) makes the x-exponent of every monomial implicit,
 so terms are stored keyed by (f_A, f_B) alone.
 
-``psi`` builds psi_n only for n <= PSI_N_MAX = 32, the range measured to
-run: past n = 24 each step of 4 in n costs about four times the step
-before, and psi_36 takes several times as long as psi_32 (README gives the
-times).  Each psi_n is built once per process, by the recursion, and kept
-in memory.  Point multiplication never builds symbolic polynomials; it runs
-the same recursion on exact rational values, for n <= 64.
+psi_n is built from its heat equation (McKee, "Computing division
+polynomials", Math. Comp. 63, 1994), with no polynomial product.  Let P be
+psi_n for n odd and psi_n / y for n even (the y-free part ``xterms``
+holds), N = n^2, f = x^3 + A x + B, and k = 0 for n odd, 3 for n even:
+
+    12 f P_xx - 6(2N - 3 - 2k) x^2 P_x - 2(4N - 3 - 2k) A P_x
+        - 36N B P_A + 8N A^2 P_B + 3(N - 1 - k)(N - k) x P = 0
+
+(README derives it from the heat equation of Weierstrass's sigma).  With
+P = sum over m of c_m(A, B) x^m, its coefficient of x^(m+1) gives c_m from
+the three coefficients above it, for m from d - 1 down to 0:
+
+    s_m c_m = -[(8N A^2 d/dB - 36N B d/dA) c_(m+1)
+                + (m + 2)(12(m + 1) - 2(4N - 3 - 2k)) A c_(m+2)
+                + 12(m + 3)(m + 2) B c_(m+3)],
+    s_m = 6(m - d)(2m - N + k) > 0,   d = (N - 1 - k) / 2,   c_d = n.
+
+Each division is exact; an inexact one raises ArithmeticError.  The tests
+hold the result to the product recursion that ``_psi_val`` runs.
+
+``psi`` builds psi_n only for n <= PSI_N_MAX = 32: the recurrence runs
+further, but nothing reads psi_n past 32, and the tests pin the limit.
+Each psi_n is built on its own, once per process, and kept in memory.
+Point multiplication builds no symbolic polynomial; it runs the product
+recursion on exact rational values, for n <= 64.
 """
 
 from __future__ import annotations
@@ -74,9 +93,62 @@ class DivPoly:
             if self._fx(fa, fb) == fx_target
         }
 
+    def value(self, a: int, b: int, x: int, y: int) -> int:
+        """The value at the point (x, y) of y^2 = x^3 + a x + b."""
+        w = self.xpart_weight
+        px, pa, pb = ([v**i for i in range(w + 1)] for v in (x, a, b))
+        return y**self.y_factor * sum(
+            c * px[w - 2 * fa - 3 * fb] * pa[fa] * pb[fb] for (fa, fb), c in self.xterms.items()
+        )
+
+
+_psi_cache: dict[int, DivPoly] = {}
+
+
+def psi(n: int) -> DivPoly:
+    """Symbolic n-th division polynomial, canonical form; 1 <= n <= PSI_N_MAX."""
+    if n < 1:
+        raise ValueError("psi requires n >= 1")
+    if n > PSI_N_MAX:
+        raise ValueError(f"n = {n} exceeds PSI_N_MAX = {PSI_N_MAX}")
+    # the heat-equation recurrence of the module docstring
+    if n in _psi_cache:
+        return _psi_cache[n]
+    N = n * n
+    k = 3 * (1 - n % 2)  # twice the weight of the factor y of an even psi_n
+    d, beta = (N - 1 - k) // 2, 4 * N - 3 - 2 * k
+    c = [{} for _ in range(d + 3)]  # c[m] = {(f_A, f_B): int}, zero above x^d
+    c[d] = {(0, 0): n}
+    for m in range(d - 1, -1, -1):
+        acc: dict[tuple[int, int], int] = {}
+        for (fa, fb), v in c[m + 1].items():  # (8N A^2 d/dB - 36N B d/dA) c_{m+1}
+            if fb:
+                acc[fa + 2, fb - 1] = acc.get((fa + 2, fb - 1), 0) + 8 * N * fb * v
+            if fa:
+                acc[fa - 1, fb + 1] = acc.get((fa - 1, fb + 1), 0) - 36 * N * fa * v
+        t = (m + 2) * (12 * (m + 1) - 2 * beta)
+        for (fa, fb), v in c[m + 2].items():  # A c_{m+2}
+            acc[fa + 1, fb] = acc.get((fa + 1, fb), 0) + t * v
+        t = 12 * (m + 3) * (m + 2)
+        for (fa, fb), v in c[m + 3].items():  # B c_{m+3}
+            acc[fa, fb + 1] = acc.get((fa, fb + 1), 0) + t * v
+        s = 6 * (m - d) * (2 * m - N + k)  # > 0 for every m < d
+        row = c[m]
+        for key, v in acc.items():
+            q, r = divmod(-v, s)
+            if r:
+                raise ArithmeticError(f"psi_{n}: the coefficient of x^{m} is not integral")
+            if q:
+                row[key] = q
+    # sorted by (f_A, f_B): verify_coeff_growth reports the first of equal worst terms
+    xterms = dict(sorted((key, v) for row in c for key, v in row.items()))
+    _psi_cache[n] = DivPoly(n, k // 3, d, xterms)
+    return _psi_cache[n]
+
 
 # ---------------------------------------------------------------------------
-# internal weighted-polynomial arithmetic on (weight, {(fA,fB): int}) pairs
+# the product of two weighted polynomials (weight, {(fA,fB): int}), which
+# the triple-root check reads
 
 
 def _wmul(w1: int, t1: dict, w2: int, t2: dict) -> tuple[int, dict]:
@@ -141,28 +213,11 @@ def _pack(terms: dict, stride: int, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _wsub(w1: int, t1: dict, w2: int, t2: dict) -> tuple[int, dict]:
-    if t1 and t2 and w1 != w2:
-        raise ValueError("weight mismatch in subtraction")
-    out = dict(t1)
-    for k, c in t2.items():
-        out[k] = out.get(k, 0) - c
-    return (w1 if t1 else w2), {k: c for k, c in out.items() if c}
+# ---------------------------------------------------------------------------
+# numeric psi values at a point (y^2 eliminated through the actual y value)
 
 
-def _wscale_div(terms: dict, d: int) -> dict:
-    out = {}
-    for k, c in terms.items():
-        q, r = divmod(c, d)
-        if r:
-            raise ArithmeticError("non-integral coefficient in psi recursion")
-        out[k] = q
-    return out
-
-
-# (x^3 + A x + B)^2 = y^4 (weight 6), used to eliminate y^4
-_CURVE2 = (6, {(0, 0): 1, (0, 1): 2, (0, 2): 1, (1, 0): 2, (1, 1): 2, (2, 0): 1})
-
+# psi_0 ... psi_4 as (y_factor, xpart_weight, xterms), the recursion's base cases
 _BASE = {
     0: (0, -1, {}),  # zero polynomial (weight unused)
     1: (0, 0, {(0, 0): 1}),
@@ -182,68 +237,6 @@ _BASE = {
         },
     ),
 }
-
-_psi_cache: dict[int, DivPoly] = {}
-
-
-def psi(n: int) -> DivPoly:
-    """Symbolic n-th division polynomial, canonical form; 1 <= n <= PSI_N_MAX."""
-    if n < 1:
-        raise ValueError("psi requires n >= 1")
-    if n > PSI_N_MAX:
-        raise ValueError(f"n = {n} exceeds PSI_N_MAX = {PSI_N_MAX}")
-    return _psi(n)
-
-
-def _psi(n: int) -> DivPoly:
-    if n in _psi_cache:
-        return _psi_cache[n]
-    if n in _BASE:
-        yf, w, t = _BASE[n]
-        poly = DivPoly(n, yf, w, t)
-    elif n % 2 == 1:
-        m = (n - 1) // 2
-        pm2, pm, pm1_, pp1 = _psi(m + 2), _psi(m), _psi(m - 1), _psi(m + 1)
-        lin_a = (pm2.xpart_weight, pm2.xterms)
-        lin_b = (pm1_.xpart_weight, pm1_.xterms)
-        # odd result is y-free; whichever side carries y^4 picks up curve^2,
-        # multiplied into its linear factor, the small one
-        if m % 2 == 0:
-            lin_a = _wmul(*_CURVE2, *lin_a)
-        else:
-            lin_b = _wmul(*_CURVE2, *lin_b)
-        w, t = _wsub(*_wpow3_mul(lin_a, pm), *_wpow3_mul(lin_b, pp1))
-        poly = DivPoly(n, 0, w, t)
-    else:
-        m = n // 2
-        pm2, pm1_, pm, pp1, pp2 = (
-            _psi(m - 2),
-            _psi(m - 1),
-            _psi(m),
-            _psi(m + 1),
-            _psi(m + 2),
-        )
-        # t = Px(m+2) Px(m-1)^2 - Px(m-2) Px(m+1)^2 on y-stripped parts
-        sq1 = _wmul(pm1_.xpart_weight, pm1_.xterms, pm1_.xpart_weight, pm1_.xterms)
-        sq2 = _wmul(pp1.xpart_weight, pp1.xterms, pp1.xpart_weight, pp1.xterms)
-        ta = _wmul(pp2.xpart_weight, pp2.xterms, *sq1)
-        tb = _wmul(pm2.xpart_weight, pm2.xterms, *sq2)
-        w, t = _wsub(*ta, *tb)
-        w, t = _wmul(pm.xpart_weight, pm.xterms, w, t)
-        poly = DivPoly(n, 1, w, _wscale_div(t, 2))
-    _psi_cache[n] = poly
-    return poly
-
-
-def _wpow3_mul(lin: tuple[int, dict], p_cub: DivPoly) -> tuple[int, dict]:
-    # lin times the x-part of p_cub, cubed
-    sq = _wmul(p_cub.xpart_weight, p_cub.xterms, p_cub.xpart_weight, p_cub.xterms)
-    cu = _wmul(*sq, p_cub.xpart_weight, p_cub.xterms)
-    return _wmul(*lin, *cu)
-
-
-# ---------------------------------------------------------------------------
-# numeric psi values at a point (y^2 eliminated through the actual y value)
 
 
 def _psi_val(n, x, y, a, b, memo) -> Fraction:
@@ -387,30 +380,20 @@ def _triple_root_poly_coeffs(curve: CurveModel, xr: Fraction) -> list[Fraction]:
     """Coefficients of psi3^2 x - psi2 psi4 - psi3^2 x(R) from symbolic psi."""
     a, b = Fraction(curve.a), Fraction(curve.b)
 
-    def specialize(poly: DivPoly) -> list[Fraction]:
-        deg = poly.x_degree()
-        out = [Fraction(0)] * (deg + 1)
-        for (fx, fa, fb), c in poly.terms.items():
-            out[fx] += c * a**fa * b**fb
+    def specialize(w: int, terms: dict) -> list[Fraction]:
+        out = [Fraction(0)] * (w + 1)
+        for (fa, fb), c in terms.items():
+            out[w - 2 * fa - 3 * fb] += c * a**fa * b**fb
         return out
 
-    def pmul(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * (len(u) + len(v) - 1)
-        for i, cu in enumerate(u):
-            for j, cv in enumerate(v):
-                out[i + j] += cu * cv
-        return out
-
-    p3 = specialize(psi(3))
-    p4x = specialize(psi(4))  # y-stripped part; psi2*psi4 = 2y * y * p4x = 2 y^2 p4x
-    curve_poly = [b, a, Fraction(0), Fraction(1)]
-    p24 = pmul([Fraction(2)], pmul(curve_poly, p4x))
-    p3sq = pmul(p3, p3)
+    p3, p4 = psi(3), psi(4)
+    p3sq = specialize(*_wmul(p3.xpart_weight, p3.xterms, p3.xpart_weight, p3.xterms))
+    # psi2 psi4 = 2y * y * (y-stripped psi4) = 2 (x^3 + A x + B) (y-stripped psi4)
+    curve_p4 = specialize(*_wmul(3, {(0, 0): 1, (1, 0): 1, (0, 1): 1}, p4.xpart_weight, p4.xterms))
     out = [Fraction(0)] * 10
     for i, c in enumerate(p3sq):
         out[i + 1] += c  # psi3^2 * x
         out[i] -= c * xr  # - psi3^2 x(R)
-    for i, c in enumerate(p24):
-        out[i] -= c
+    for i, c in enumerate(curve_p4):
+        out[i] -= 2 * c
     return out
-

@@ -699,6 +699,24 @@ def test_divpoly_verify_homogeneity_can_fail(damage, monkeypatch, capsys):
     assert doc["results"]["homogeneous"] is False
 
 
+def test_divpoly_verify_catches_one_wrong_coefficient(monkeypatch, capsys):
+    real = divpoly.psi
+
+    def psi(n):
+        poly = real(n)
+        if n != 7:
+            return poly
+        # +1 on the coefficient of x^21 B: the weights and the two leading
+        # coefficients stay right
+        return dataclasses.replace(poly, xterms={**poly.xterms, (0, 1): poly.xterms[0, 1] + 1})
+
+    monkeypatch.setattr(divpoly, "psi", psi)
+    status, doc, _ = _run(["divpoly-verify", "--n-max", "8"], capsys)
+    assert status == 0
+    assert doc["results"]["homogeneous"] is True
+    assert doc["results"]["leading_ok"] is False
+
+
 @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
 def test_divpoly_verify_empty_range_exits_1(n_max, capsys):
     status, doc = run(["divpoly-verify", "--n-max", n_max])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from integral_census import divpoly
+from integral_census import cli, divpoly
 from integral_census.divpoly import (
     multiply_point,
     psi,
@@ -76,18 +76,58 @@ def test_wmul_matches_schoolbook(t1, t2):
     assert divpoly._wmul(7, t1, 7, t1) == _schoolbook(7, t1, 7, t1)
 
 
-def test_psi_matches_schoolbook_product(monkeypatch):
-    saved = dict(divpoly._psi_cache)
-    try:
-        divpoly._psi_cache.clear()
-        fast = {n: psi(n) for n in range(1, 25)}
-        divpoly._psi_cache.clear()
-        monkeypatch.setattr(divpoly, "_wmul", _schoolbook)
-        for n in range(1, 25):
-            assert psi(n) == fast[n], n
-    finally:
-        divpoly._psi_cache.clear()
-        divpoly._psi_cache.update(saved)
+# (x^3 + A x + B)^2 = y^4, weight 6
+_CURVE2 = (6, {(0, 0): 1, (0, 1): 2, (0, 2): 1, (1, 0): 2, (1, 1): 2, (2, 0): 1})
+_ORACLE: dict[int, tuple[int, int, dict]] = {}
+
+
+def _oracle(n):
+    """psi_n as (y_factor, xpart_weight, xterms), by the product recursion
+
+        psi_(2m+1) = psi_(m+2) psi_m^3 - psi_(m-1) psi_(m+1)^3,
+        2y psi_(2m) = psi_m (psi_(m+2) psi_(m-1)^2 - psi_(m-2) psi_(m+1)^2)
+
+    on the y-free parts, with y^4 = (x^3 + A x + B)^2 and every product
+    taken by divpoly._wmul; psi_0 ... psi_4 are the closed forms."""
+    if n in divpoly._BASE:
+        return divpoly._BASE[n]
+    if n not in _ORACLE:
+        mul = divpoly._wmul
+
+        def part(k):
+            return _oracle(k)[1:]
+
+        def minus(p, q):
+            out = dict(p[1])
+            for key, c in q[1].items():
+                out[key] = out.get(key, 0) - c
+            return p[0], {key: c for key, c in out.items() if c}
+
+        m = n // 2
+        if n % 2:
+            lin_a, lin_b = part(m + 2), part(m - 1)
+            # the even pair of psi_m, psi_(m+2) or psi_(m-1), psi_(m+1)
+            # carries y^4, taken into its linear factor
+            if m % 2 == 0:
+                lin_a = mul(*_CURVE2, *lin_a)
+            else:
+                lin_b = mul(*_CURVE2, *lin_b)
+            cube_m = mul(*part(m), *mul(*part(m), *part(m)))
+            cube_p = mul(*part(m + 1), *mul(*part(m + 1), *part(m + 1)))
+            _ORACLE[n] = (0, *minus(mul(*lin_a, *cube_m), mul(*lin_b, *cube_p)))
+        else:
+            sq_m = mul(*part(m - 1), *part(m - 1))
+            sq_p = mul(*part(m + 1), *part(m + 1))
+            w, t = mul(*part(m), *minus(mul(*part(m + 2), *sq_m), mul(*part(m - 2), *sq_p)))
+            assert all(c % 2 == 0 for c in t.values())
+            _ORACLE[n] = (1, w, {key: c // 2 for key, c in t.items()})
+    return _ORACLE[n]
+
+
+def test_psi_matches_product_recursion():
+    for n in range(1, 25):
+        poly = psi(n)
+        assert (poly.y_factor, poly.xpart_weight, poly.xterms) == _oracle(n), n
 
 
 def test_base_cases_match_closed_forms():
@@ -96,6 +136,18 @@ def test_base_cases_match_closed_forms():
     assert p3.y_factor == 0
     p2 = psi(2)
     assert p2.y_factor == 1 and p2.terms == {(0, 0, 0): 2}
+    p4 = psi(4)
+    assert (p4.y_factor, p4.xpart_weight, p4.xterms) == divpoly._BASE[4]
+
+
+def test_inexact_division_raises_and_exits_2(monkeypatch, capsys):
+    # a remainder from every division stands in for a wrong constant
+    monkeypatch.setattr(divpoly, "_psi_cache", {})
+    monkeypatch.setattr(divpoly, "divmod", lambda v, s: (v // s, 1), raising=False)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        psi(5)
+    assert cli.run(["divpoly-verify", "--n-max", "5"]) == (2, None)
+    assert capsys.readouterr().err.startswith("computation failed: psi_")
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -200,23 +252,15 @@ def test_psi_never_reads_or_writes_a_cache_directory(tmp_path, monkeypatch):
     # psi_9 pickled with wrong terms, in the on-disk format that older
     # versions loaded from the directory INTEGRAL_CENSUS_CACHE named: psi
     # builds psi_9 by the recursion and leaves the directory as it was
-    saved = dict(divpoly._psi_cache)
-    try:
-        divpoly._psi_cache.clear()
-        with monkeypatch.context() as m:
-            m.setattr(divpoly, "_wmul", _schoolbook)
-            want = psi(9)
-        planted = divpoly.DivPoly(9, want.y_factor, want.xpart_weight, {(0, 0): 1})
-        blob = pickle.dumps(("integral-census psi cache v2", planted))
-        (tmp_path / "psi_9.pkl").write_bytes(blob)
-        monkeypatch.setenv("INTEGRAL_CENSUS_CACHE", str(tmp_path))
-        divpoly._psi_cache.clear()
-        assert psi(9) == want
-        assert [f.name for f in tmp_path.iterdir()] == ["psi_9.pkl"]
-        assert (tmp_path / "psi_9.pkl").read_bytes() == blob
-    finally:
-        divpoly._psi_cache.clear()
-        divpoly._psi_cache.update(saved)
+    want = divpoly.DivPoly(9, *_oracle(9))
+    planted = divpoly.DivPoly(9, want.y_factor, want.xpart_weight, {(0, 0): 1})
+    blob = pickle.dumps(("integral-census psi cache v2", planted))
+    (tmp_path / "psi_9.pkl").write_bytes(blob)
+    monkeypatch.setenv("INTEGRAL_CENSUS_CACHE", str(tmp_path))
+    monkeypatch.setattr(divpoly, "_psi_cache", {})
+    assert psi(9) == want
+    assert [f.name for f in tmp_path.iterdir()] == ["psi_9.pkl"]
+    assert (tmp_path / "psi_9.pkl").read_bytes() == blob
 
 
 def test_psi_bounds():
