@@ -146,71 +146,15 @@ def psi(n: int) -> DivPoly:
     return _psi_cache[n]
 
 
-# ---------------------------------------------------------------------------
-# the product of two weighted polynomials (weight, {(fA,fB): int}), which
-# the triple-root check reads
-
-
 def _wmul(w1: int, t1: dict, w2: int, t2: dict) -> tuple[int, dict]:
-    """Product by Kronecker substitution: (f_A, f_B) goes to the slot
-    f_A * stride + f_B of one big int, the two ints are multiplied once,
-    and the product's slots are read back as the product's coefficients.
-
-    A slot is wide enough for any product coefficient plus a sign bit.
-    Adding a bias of half a slot to every slot, empty ones included, makes
-    every slot non-negative, so it unpacks without borrows.  The unpack goes
-    through bytes: peeling slots off with shifts would be quadratic.  Row
-    f_A of the product is read only up to the largest f_B a term of it can
-    have, the most over i + j = f_A of the factors' row-i and row-j ends.
-    """
-    if not t1 or not t2:
-        return w1 + w2, {}
-    ends1, ends2 = _row_ends(t1), _row_ends(t2)
-    ends: dict[int, int] = {}
-    for i, e1 in ends1.items():
-        for j, e2 in ends2.items():
-            if ends.get(i + j, -1) < e1 + e2:
-                ends[i + j] = e1 + e2
-    stride = max(ends.values()) + 1
-    bound = max(map(abs, t1.values())) * max(map(abs, t2.values())) * min(len(t1), len(t2))
-    width = (bound.bit_length() + 8) // 8  # bytes for |c| <= bound and a sign bit
-    prod = _pack(t1, stride, width)
-    prod *= prod if t2 is t1 else _pack(t2, stride, width)
-    slots = (max(ends) + 1) * stride
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    buf = (prod + bias).to_bytes(slots * width, "little")
-    out = {}
-    for fa in sorted(ends):
-        k = fa * stride * width
-        for fb in range(ends[fa] + 1):
-            c = int.from_bytes(buf[k : k + width], "little") - half
-            k += width
-            if c:
-                out[fa, fb] = c
-    return w1 + w2, out
-
-
-def _row_ends(terms: dict) -> dict[int, int]:
-    """{f_A: the largest f_B of a term in row f_A}."""
-    ends: dict[int, int] = {}
-    for fa, fb in terms:
-        if ends.get(fa, -1) < fb:
-            ends[fa] = fb
-    return ends
-
-
-def _pack(terms: dict, stride: int, width: int) -> int:
-    """sum c * 256^(width * (f_A * stride + f_B)), built through bytes."""
-    size = (max(fa * stride + fb for fa, fb in terms) + 1) * width
-    pos, neg = bytearray(size), bytearray(size)
-    for (fa, fb), c in terms.items():
-        i = (fa * stride + fb) * width
-        if c > 0:
-            pos[i : i + width] = c.to_bytes(width, "little")
-        else:
-            neg[i : i + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """The product of two weighted polynomials (weight, {(f_A, f_B): int}),
+    by the double loop over monomials; the triple-root check reads it."""
+    out: dict[tuple[int, int], int] = {}
+    for (a1, b1), c1 in t1.items():
+        for (a2, b2), c2 in t2.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return w1 + w2, {k: c for k, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ def gap_excess(
     curve: CurveModel,
     p: tuple[int, int],
     r: tuple[int, int],
-    precision_goal: float = 1e-8,
+    precision_goal: float = 1e-10,
     *,
     memo: dict | None = None,
 ) -> PairStat:
@@ -66,7 +66,7 @@ def repulsion_survey(
     T: float,
     x_bound: int,
     min_height: float = 0.0,
-    precision_goal: float = 1e-8,
+    precision_goal: float = 1e-10,
     delta: float = 0.1,
     restrict_filtered: bool = False,
 ) -> dict:
@@ -88,6 +88,8 @@ def repulsion_survey(
     else:
         curves = list(enumerate_family(family, T))
         curve_count = len(curves)
+    if not curve_count:
+        raise ValueError("empty family slice")
     max_excess = None
     pair_count = 0
     undefined_angle = 0

@@ -159,9 +159,12 @@ def test_T_past_int64_rows_exits_1(argv, capsys):
     [
         ["small-points", "--family", "congruent", "--T", "1"],
         ["small-points", "--family", "b0", "--T", "1", "--exponent", "0"],
+        # no universal curve has height <= 1, before or after the row prune
+        ["gap-survey", "--family", "universal", "--T", "1", "--x-bound", "10"],
+        ["gap-survey", "--family", "universal", "--T", "1", "--x-bound", "10", "--restrict-filtered"],
     ],
 )
-def test_small_points_on_an_empty_slice_exits_1(argv, capsys):
+def test_an_empty_family_slice_exits_1(argv, capsys):
     assert run(argv) == (1, None)
     assert capsys.readouterr().err == "error: empty family slice\n"
 

@@ -33,27 +33,25 @@ def _wmul_cases():
     yield {(0, 0): 1}, {(0, 0): -1}
     yield {(2, 1): -5}, {(0, 3): 4}
     for e in edge:
-        # coefficients filling a slot edge, of both signs, with cancellation
+        # coefficients at 2^(8k) - 1, of both signs, with cancellation
         yield {(0, 0): e, (1, 0): -e, (0, 1): e}, {(0, 0): -e, (0, 2): e}
         yield {(0, 0): e + 1, (3, 1): -(e + 1)}, {(1, 1): e, (0, 0): -1}
         yield {(0, 0): e, (1, 0): e}, {(0, 0): e, (1, 0): -e}  # middle term cancels
     for k in (1, 2, 3):
-        # a product coefficient at +-(2^(8k-1) - 1) fills a k-byte slot with
-        # its sign bit; one more needs a wider slot
+        # a product coefficient at +-(2^(8k-1) - 1), and one past it
         for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
             yield {(0, 0): c}, {(0, 0): 1}
             yield {(2, 0): 1}, {(0, 3): -c}
-        # every term meets in slot (1, 1), at exactly the size bound
+        # every term meets at (1, 1)
         m = 2 ** (4 * k) - 1
         yield {(1, 0): m, (0, 1): m}, {(0, 1): m, (1, 0): m}
         yield {(1, 0): -m, (0, 1): -m}, {(0, 1): m, (1, 0): m}
-    # ragged supports: rows of different f_B length, an empty middle row,
-    # a nonzero coefficient at the end of every row; the product's row f_A
-    # ends at the most of e1 + e2 over i + j = f_A, which a shorter pair of
-    # rows may not reach
+    # ragged supports: rows f_A of different f_B length, an empty middle
+    # row, a nonzero coefficient at the end of every row
     yield {(0, 4): 3, (2, 0): -1, (3, 1): 5}, {(0, 0): 2, (1, 2): -7, (3, 5): 1}
     yield {(0, 0): 1, (0, 6): -2, (1, 1): 4, (4, 2): 9}, {(0, 1): -1, (2, 0): 3}
-    yield {(0, 3): 1, (2, 3): 1}, {(0, 3): 1, (2, 3): -1}  # every row is one slot
+    # one term a row; the cross terms cancel
+    yield {(0, 3): 1, (2, 3): 1}, {(0, 3): 1, (2, 3): -1}
     yield {(0, 0): -1, (5, 4): 2}, {(0, 5): 1, (1, 0): -3, (4, 2): 6}
     big = 2**200 + 1
     yield {(0, 2): big, (1, 0): -big, (3, 7): big}, {(0, 0): -big, (2, 3): big}
@@ -79,6 +77,7 @@ def test_wmul_matches_schoolbook(t1, t2):
 # (x^3 + A x + B)^2 = y^4, weight 6
 _CURVE2 = (6, {(0, 0): 1, (0, 1): 2, (0, 2): 1, (1, 0): 2, (1, 1): 2, (2, 0): 1})
 _ORACLE: dict[int, tuple[int, int, dict]] = {}
+_POWERS: dict[tuple[int, int], tuple[int, dict]] = {}
 
 
 def _oracle(n):
@@ -88,11 +87,12 @@ def _oracle(n):
         2y psi_(2m) = psi_m (psi_(m+2) psi_(m-1)^2 - psi_(m-2) psi_(m+1)^2)
 
     on the y-free parts, with y^4 = (x^3 + A x + B)^2 and every product
-    taken by divpoly._wmul; psi_0 ... psi_4 are the closed forms."""
+    taken by _schoolbook, which shares no code with the package; psi_0 ...
+    psi_4 are the closed forms."""
     if n in divpoly._BASE:
         return divpoly._BASE[n]
     if n not in _ORACLE:
-        mul = divpoly._wmul
+        mul = _schoolbook
 
         def part(k):
             return _oracle(k)[1:]
@@ -112,16 +112,23 @@ def _oracle(n):
                 lin_a = mul(*_CURVE2, *lin_a)
             else:
                 lin_b = mul(*_CURVE2, *lin_b)
-            cube_m = mul(*part(m), *mul(*part(m), *part(m)))
-            cube_p = mul(*part(m + 1), *mul(*part(m + 1), *part(m + 1)))
+            cube_m, cube_p = _power(m, 3), _power(m + 1, 3)
             _ORACLE[n] = (0, *minus(mul(*lin_a, *cube_m), mul(*lin_b, *cube_p)))
         else:
-            sq_m = mul(*part(m - 1), *part(m - 1))
-            sq_p = mul(*part(m + 1), *part(m + 1))
+            sq_m, sq_p = _power(m - 1, 2), _power(m + 1, 2)
             w, t = mul(*part(m), *minus(mul(*part(m + 2), *sq_m), mul(*part(m - 2), *sq_p)))
             assert all(c % 2 == 0 for c in t.values())
             _ORACLE[n] = (1, w, {key: c // 2 for key, c in t.items()})
     return _ORACLE[n]
+
+
+def _power(k, e):
+    """The y-free part of psi_k squared (e = 2) or cubed (e = 3): the
+    recursion reads each about twice, and they are built once."""
+    if (k, e) not in _POWERS:
+        part = _oracle(k)[1:]
+        _POWERS[k, e] = _schoolbook(*part, *(part if e == 2 else _power(k, 2)))
+    return _POWERS[k, e]
 
 
 def test_psi_matches_product_recursion():
@@ -246,6 +253,22 @@ def test_triple_root_identity():
     assert triple_root_identity_check(curve, CurvePoint.affine(3, 6), 50)
     curve2 = CurveModel(-7, 10)
     assert triple_root_identity_check(curve2, CurvePoint.affine(1, 2), 50)
+
+
+@pytest.mark.parametrize("weight", [8, 9], ids=["psi3_squared", "curve_times_psi4"])
+def test_triple_root_identity_fails_on_one_wrong_product_coefficient(weight, monkeypatch):
+    # +1 on the A coefficient of one of the check's two products: the
+    # polynomial stays monic of degree 9, so the sampled values must catch it
+    product = divpoly._wmul
+
+    def off_by_one(*factors):
+        w, t = product(*factors)
+        return w, {**t, (1, 0): t.get((1, 0), 0) + (w == weight)}
+
+    monkeypatch.setattr(divpoly, "_wmul", off_by_one)
+    assert not triple_root_identity_check(CurveModel(1, 6), CurvePoint.affine(3, 6), 100)
+    status, doc = cli.run(["verify-identities", "--check", "triple-root"])
+    assert status == 0 and doc["results"] == {"triple_root": {"holds": False}}
 
 
 def test_psi_never_reads_or_writes_a_cache_directory(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ def test_gap_excess_known_pair():
     from integral_census.points import CurvePoint, add
 
     s = add(curve, CurvePoint.affine(1, 2), CurvePoint.affine(2, 3))
-    hs = canonical_height(curve, s, 1e-8).canonical
+    hs = canonical_height(curve, s, 1e-10).canonical
     assert stat.hhat_sum == hs
     assert stat.excess == pytest.approx(
         hs - 2 * max(stat.h_p, stat.h_r) - min(stat.h_p, stat.h_r), abs=1e-9
@@ -76,6 +76,13 @@ def test_survey_min_height_filters_pairs():
     base = repulsion_survey(Family.MORDELL, 4, 500)
     high = repulsion_survey(Family.MORDELL, 4, 500, min_height=3.0)
     assert high["pair_count"] <= base["pair_count"]
+
+
+@pytest.mark.parametrize("restrict_filtered", [False, True], ids=["all", "restricted"])
+def test_survey_on_an_empty_family_raises(restrict_filtered):
+    # no universal curve has height <= 1
+    with pytest.raises(ValueError, match="empty family slice"):
+        repulsion_survey(Family.UNIVERSAL, 1, 10, restrict_filtered=restrict_filtered)
 
 
 def test_survey_restricted_empty_is_well_formed():
