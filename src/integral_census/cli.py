@@ -6,8 +6,11 @@ path is excluded from the document, so identical computations produce
 byte-identical JSON.
 
 Each subcommand declares only the options it reads, plus ``--out``: any
-other option exits 1, and so does a ``--config`` key or a code-bound
-``--degree``/``--grid-size`` that the chosen mode would not read.
+other option exits 1, and so does an option that the chosen mode would
+not read: a ``--config`` key, a code-bound ``--degree``/``--grid-size``
+off ``--method lp``, a census ``--family``/``--T`` beside ``--curve``, and
+a verify-identities ``--coeff-bound``/``--x-bound`` off ``--check mod3``
+and ``all``.
 Options are taken by their full names only, never abbreviated.  The allowed
 values of the numeric options are stated once, in ``_RULES``, and checked
 before any handler runs, so a bad value exits 1 before any work.  ``codes``
@@ -154,9 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["minimalist", "moments"], default="moments")
     p.add_argument("--config", default=None, help="key = value parameter file")
     p.add_argument("--search", action="store_true", help="grid search instead of single evaluation")
-    p = add("verify-identities", "--x-bound")
+    p = add("verify-identities")
     p.add_argument("--check", choices=["mod3", "triple-root", "mult", "all"], default="all")
-    p.add_argument("--coeff-bound", type=int, default=30)
+    p.add_argument("--coeff-bound", type=int, default=None, help="mod3 and all only; default 30")
+    p.add_argument("--x-bound", type=int, default=None, help="mod3 and all only; default 10000")
     return parser
 
 
@@ -221,6 +225,8 @@ def _cmd_census(args) -> tuple[dict, dict]:
     if args.curve:
         if args.format == "csv":
             raise ValueError("--format csv needs --family: a single-curve census is JSON only")
+        if args.family is not None or args.T is not None:
+            raise ValueError("--curve names one curve: it reads neither --family nor --T")
         curve = _parse_curve(args.curve)
         config = {"subcommand": "census", "curve": curve.to_record(), "x_bound": args.x_bound}
         pts = points.integral_points(curve, args.x_bound)
@@ -352,16 +358,17 @@ def _cmd_divpoly_verify(args) -> tuple[dict, dict]:
     memos = [{} for _ in _PSI_POINTS]
     for n in range(1, args.n_max + 1):
         poly = divpoly.psi(n)
-        # psi_n has weight (n^2 - 1) / 2 with y of weight 3/2, and every
-        # term's implied x-exponent xpart_weight - 2 f_A - 3 f_B is >= 0
-        shaped = 2 * poly.xpart_weight + 3 * poly.y_factor == n * n - 1 and all(
-            2 * fa + 3 * fb <= poly.xpart_weight for fa, fb in poly.xterms
+        rows = poly.rows
+        # psi_n has weight (n^2 - 1) / 2 with y of weight 3/2: every term of
+        # rows[m] has m + 2 f_A + 3 f_B = d, the top row
+        d = len(rows) - 1
+        shaped = 2 * d + 3 * poly.y_factor == n * n - 1 and all(
+            m + 2 * fa + 3 * fb == d for m, row in enumerate(rows) for fa, fb in row
         )
         if not shaped:
             homogeneous = False
-        if poly.x_leading_coeff() != n:
-            leading = False
-        if n >= 2 and poly.x_coeff(poly.x_degree() - 1):
+        # psi_n = n x^d + 0 x^(d-1) + ...
+        if rows[d] != {(0, 0): n} or (d >= 1 and rows[d - 1]):
             leading = False
         # the built psi_n against the numeric recursion, which shares no code
         # with the build: a wrong coefficient anywhere changes the value
@@ -505,15 +512,16 @@ def _cmd_verify_identities(args) -> tuple[dict, dict]:
     config = {"subcommand": "verify-identities", "check": args.check}
     if args.check in ("mod3", "all"):
         # only the mod-3 sweep reads the grid and the scan window
-        config.update(coeff_bound=args.coeff_bound, x_bound=args.x_bound)
-        bound = args.coeff_bound
+        bound = 30 if args.coeff_bound is None else args.coeff_bound
+        x_bound = 10**4 if args.x_bound is None else args.x_bound
+        config.update(coeff_bound=bound, x_bound=x_bound)
         grid = (
             CurveModel(a, b)
             for a in range(-bound, bound + 1)
             for b in range(-bound, bound + 1)
         )
         curves = [c for c in grid if points.mod3_obstruction(c) and c.disc() != 0]
-        counts = [len(pts) for pts in points._points_per_curve(curves, args.x_bound)]
+        counts = [len(pts) for pts in points._points_per_curve(curves, x_bound)]
         results["mod3"] = {
             "curves_checked": len(curves),
             "all_empty": all(n == 0 for n in counts),
@@ -521,6 +529,8 @@ def _cmd_verify_identities(args) -> tuple[dict, dict]:
                 c.to_record() for c, n in zip(curves, counts) if n
             ],
         }
+    elif args.coeff_bound is not None or args.x_bound is not None:
+        raise ValueError("--coeff-bound and --x-bound are read only by --check mod3 and all")
     if args.check in ("triple-root", "all"):
         ok = divpoly.triple_root_identity_check(
             CurveModel(1, 6), CurvePoint.affine(3, 6), 100

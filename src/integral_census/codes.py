@@ -1,14 +1,14 @@
 """Upper bounds for point sets with bounded pairwise inner products.
 
-Four methods: a spherical-cap volume bound (with a projective variant),
+Four methods: a cap-packing bound for lines (antipodal points identified),
 the exact circle bound for lines in the plane, the Kabatiansky-Levenshtein
 exponential rate, and a Delsarte-type linear-programming bound for
 projective codes in small dimension.
 
 ``best_code_bound`` takes the smallest certified bound and memoizes it by
-(r, theta), and the projective cap is computed once per (r, theta) as
-well.  Every LP runs on the calling thread; the optimizer solves only the
-ranks its worst case reads and starts the others at their cap.
+(r, theta), and the cap bound is computed once per (r, theta) as well.
+Every LP runs on the calling thread; the optimizer solves only the ranks
+its worst case reads and starts the others at their cap.
 """
 
 from __future__ import annotations
@@ -53,10 +53,8 @@ class CodeBoundResult:
             object.__setattr__(self, "detail", MappingProxyType(dict(self.detail)))
 
 
-def cap_bound(r: int, theta: float, projective: bool = False) -> float:
-    """Cap-packing bound 2 sqrt(3r) sin(theta/2)^(1-r) / cos(theta/2).
-
-    The projective flag selects the halved variant
+def cap_bound(r: int, theta: float) -> float:
+    """Cap-packing bound for lines in R^r at pairwise angle >= theta:
     sqrt(3r) (1/2 - J/4)^((1-r)/2) (1/2 + J/4)^(-1/2) with J = 2 cos theta.
     """
     if r < 3:
@@ -64,18 +62,8 @@ def cap_bound(r: int, theta: float, projective: bool = False) -> float:
     if not 0 < theta < math.pi - _THETA_EDGE:
         raise ValueError("theta out of domain")
     with mp.workdps(50):
-        if projective:
-            root, tail = _projective_cap_terms(theta)
-            val = mp.sqrt(3 * r) * root ** (r - 1) * tail
-        else:
-            th = mp.mpf(theta)
-            val = (
-                2
-                * mp.sqrt(3 * r)
-                * mp.sin(th / 2) ** (1 - r)
-                / mp.cos(th / 2)
-            )
-        return float(val)
+        root, tail = _projective_cap_terms(theta)
+        return float(mp.sqrt(3 * r) * root ** (r - 1) * tail)
 
 
 @functools.lru_cache(maxsize=None)
@@ -238,7 +226,7 @@ def lp_bound(
 
 # (r, theta) -> best_code_bound result; callers share the frozen results
 _BEST: dict[tuple[int, float], CodeBoundResult] = {}
-# (r, theta) -> the projective cap_bound, which the optimizer's start vectors
+# (r, theta) -> cap_bound, which the optimizer's start vectors
 # and best_code_bound's cap candidate share
 _CAPS: dict[tuple[int, float], float] = {}
 
@@ -246,7 +234,7 @@ _CAPS: dict[tuple[int, float], float] = {}
 def _projective_cap(r: int, theta: float) -> float:
     cap = _CAPS.get((r, theta))
     if cap is None:
-        cap = _CAPS[(r, theta)] = cap_bound(r, theta, projective=True)
+        cap = _CAPS[(r, theta)] = cap_bound(r, theta)
     return cap
 
 

@@ -76,6 +76,15 @@ def test_single_curve_census_rejects_csv(capsys):
 
 
 @pytest.mark.parametrize(
+    "extra", [["--family", "universal", "--T", "3"], ["--family", "universal"], ["--T", "3"]]
+)
+def test_single_curve_census_rejects_family_and_T(extra, capsys):
+    status, doc = run(["census", "--curve", "0,-2", "--x-bound", "10", *extra])
+    assert status == 1 and doc is None
+    assert "reads neither --family nor --T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["census", "--T", "2"],
@@ -301,6 +310,15 @@ def test_code_bound_lp_without_a_solution_exits_1_naming_its_status(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the LP at r = 16, theta = 0.3175 gives no bound")
     assert "primal_status is Infeasible" in err
+
+
+def test_code_bound_cap_is_the_cap_that_best_reads(capsys):
+    # past the LP ranks best is the cap for lines; --method cap gives the same bound
+    argv = ["code-bound", "--r", "20", "--theta", "1.0", "--method"]
+    _, cap, _ = _run(argv + ["cap"], capsys)
+    _, best, _ = _run(argv + ["best"], capsys)
+    assert cap["results"]["method"] == best["results"]["method"] == "cap"
+    assert cap["results"]["bound"] == best["results"]["bound"] == pytest.approx(10_282_187.25)
 
 
 def test_code_bound_rp1_rejects_r_other_than_2(capsys):
@@ -599,13 +617,13 @@ def test_verify_identities_rejects_an_empty_grid(bound, capsys):
 
 
 @pytest.mark.parametrize("check", ["triple-root", "mult"])
-def test_verify_identities_hashes_only_the_options_a_check_reads(check, capsys):
-    docs = [
-        _run(["verify-identities", "--check", check, *opts], capsys)[1]
-        for opts in ([], ["--coeff-bound", "5"], ["--coeff-bound", "30", "--x-bound", "50"])
-    ]
-    assert docs[0]["config"] == {"subcommand": "verify-identities", "check": check}
-    assert docs[0] == docs[1] == docs[2]
+def test_verify_identities_rejects_the_bounds_a_check_does_not_read(check, capsys):
+    status, doc, _ = _run(["verify-identities", "--check", check], capsys)
+    assert status == 0 and doc["config"] == {"subcommand": "verify-identities", "check": check}
+    for opts in (["--coeff-bound", "5"], ["--x-bound", "7"], ["--coeff-bound", "5", "--x-bound", "7"]):
+        status, doc = run(["verify-identities", "--check", check, *opts])
+        assert status == 1 and doc is None
+        assert "read only by --check mod3 and all" in capsys.readouterr().err
 
 
 def test_verify_identities_mod3_small(capsys):
@@ -679,16 +697,16 @@ def test_divpoly_verify(capsys):
     assert res["coeff_growth"]["all_within"]
 
 
-def _bad_weight(poly):
-    return dataclasses.replace(poly, xpart_weight=poly.xpart_weight + 1)
+def _extra_top_row(poly):
+    return dataclasses.replace(poly, rows=poly.rows + ({(0, 0): 1},))
 
 
-def _negative_x_exponent(poly):
-    # (f_A, f_B) = (w, 0) implies f_x = w - 2w < 0
-    return dataclasses.replace(poly, xterms={**poly.xterms, (poly.xpart_weight, 0): 1})
+def _term_off_its_row_weight(poly):
+    # (f_A, f_B) = (0, 0) in the constant row has weight 0, not d
+    return dataclasses.replace(poly, rows=({**poly.rows[0], (0, 0): 1},) + poly.rows[1:])
 
 
-@pytest.mark.parametrize("damage", [_bad_weight, _negative_x_exponent])
+@pytest.mark.parametrize("damage", [_extra_top_row, _term_off_its_row_weight])
 def test_divpoly_verify_homogeneity_can_fail(damage, monkeypatch, capsys):
     real = divpoly.psi
 
@@ -709,9 +727,11 @@ def test_divpoly_verify_catches_one_wrong_coefficient(monkeypatch, capsys):
         poly = real(n)
         if n != 7:
             return poly
-        # +1 on the coefficient of x^21 B: the weights and the two leading
-        # coefficients stay right
-        return dataclasses.replace(poly, xterms={**poly.xterms, (0, 1): poly.xterms[0, 1] + 1})
+        # +1 on the coefficient of x^21 B: the weights and the two top rows
+        # stay right
+        rows = list(poly.rows)
+        rows[21] = {**rows[21], (0, 1): rows[21][0, 1] + 1}
+        return dataclasses.replace(poly, rows=tuple(rows))
 
     monkeypatch.setattr(divpoly, "psi", psi)
     status, doc, _ = _run(["divpoly-verify", "--n-max", "8"], capsys)
@@ -832,13 +852,19 @@ def test_content_hash_excludes_runtime_fields(tmp_path, capsys):
     assert _canonical_json(doc1) == _canonical_json(doc2)
 
 
-# benchmark configs of three subcommands, with the content_hash it holds them to
+# benchmark configs of three subcommands, with the content_hash it holds them
+# to, and the two divpoly reports at their widest, frozen before psi_n was
+# held as rows
 _REPORT_FROZEN = {
     ("gap-survey", "--family", "universal", "--T", "2.5", "--x-bound", "1000",
      "--min-height", "0.5"):
         "223d06682f5dc2b328c08abd5866246c2628bf2362e41461ff81f6e340f4766f",
     ("divpoly-verify", "--n-max", "18"):
         "4c69963c77e67ad9c7531313d833990aad40d119a53727ca5068937bae0b50cd",
+    ("divpoly-verify", "--n-max", "32"):
+        "143299367c394a926b7ee34df7681959095119a881ecd0fd346de3ea226b72f7",
+    ("verify-identities", "--check", "all"):
+        "89707edd96022215f5f816b8b33084dfc083de8d9a27609826c71d8081c25a54",
     ("optimize", "--model", "minimalist"):
         "79b90b99a3cc220c198375c95e157a3846fbf0fad9779ea69fb401bd3ef3f72d",
     ("optimize", "--model", "moments"):

@@ -48,12 +48,6 @@ def test_cap_gamma_ratio_vanishes_at_r3():
     assert cap_gamma_ratio_gap(4) != pytest.approx(0.0, abs=1e-6)
 
 
-def test_projective_cap_variant():
-    # at the same angle the projective (antipodal-identified) bound is smaller
-    for r in (3, 5, 9):
-        assert cap_bound(r, 1.0, projective=True) < cap_bound(r, 1.0)
-
-
 def test_kl_base_at_pi3():
     # frozen 50-digit evaluation of the rate formula at theta = pi/3
     assert kl_base(PI3) == pytest.approx(1.3208013922350280, abs=1e-8)
@@ -84,7 +78,7 @@ def test_lp_bound_r2_pi3():
 def test_lp_certified_and_below_cap(r):
     lp = lp_bound(r, PI3)
     assert lp.certified
-    assert lp.bound < cap_bound(r, PI3, projective=True)
+    assert lp.bound < cap_bound(r, PI3)
     assert lp.bound >= 1.0
 
 
@@ -107,7 +101,7 @@ def test_best_code_bound_picks_min():
     b2 = best_code_bound(2, PI3)
     assert b2.method == "rp1" and b2.bound == 3
     b4 = best_code_bound(4, PI3)
-    assert b4.bound <= cap_bound(4, PI3, projective=True)
+    assert b4.bound <= cap_bound(4, PI3)
     b20 = best_code_bound(20, PI3)
     assert b20.method == "cap"
     with pytest.raises(ValueError):
@@ -161,7 +155,7 @@ def test_lp_certificate_fails_at_r15_j13():
     assert not lp.certified
     assert lp.detail["fine_grid_max"] == pytest.approx(1.40e-5, rel=0.01)
     best = codes._best_code_bound(15, R15_THETA)
-    assert best.method == "cap" and best.bound == cap_bound(15, R15_THETA, projective=True)
+    assert best.method == "cap" and best.bound == cap_bound(15, R15_THETA)
     assert best.bound == pytest.approx(1.4693e6, rel=1e-4)
 
 
@@ -219,7 +213,7 @@ def test_projective_cap_bound_matches_closed_form_bitwise(theta):
     for r in range(3, 221):
         with mp.workdps(50):
             want = float(mp.sqrt(3 * r) * base ** ((1 - r) / mp.mpf(2)) * tail)
-        assert cap_bound(r, theta, projective=True) == want
+        assert cap_bound(r, theta) == want
 
 
 # J = 2 cos(theta) on the bound workload's grid, and the (r, J) whose LP
@@ -236,7 +230,7 @@ def test_code_bounds_fall_back_to_cap_where_the_lp_fails_its_certificate(monkeyp
         theta = math.acos(j / 2)
         for r in ranks:
             result = best_code_bound(r, theta)
-            assert result.bound <= cap_bound(r, theta, projective=True)
+            assert result.bound <= cap_bound(r, theta)
             if result.method == "cap":
                 fallbacks.add((r, j))
     assert len(codes._BEST) == len(_BOUND_JS) * len(ranks)

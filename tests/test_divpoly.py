@@ -15,73 +15,59 @@ from integral_census.families import CurveModel
 from integral_census.points import CurvePoint, Identity, add
 
 
-def _schoolbook(w1, t1, w2, t2):
-    """Reference product: the double loop over monomials."""
+def _flat(rows):
+    """rows as one map (f_x, f_A, f_B) -> coefficient."""
+    return {(m, fa, fb): c for m, row in enumerate(rows) for (fa, fb), c in row.items()}
+
+
+def _schoolbook(p, q):
+    """Reference product of two maps (f_x, f_A, f_B) -> coefficient: the
+    double loop over monomials, sharing no code with the package."""
     out = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
-            k = (a1 + a2, b1 + b2)
+    for (x1, a1, b1), c1 in p.items():
+        for (x2, a2, b2), c2 in q.items():
+            k = (x1 + x2, a1 + a2, b1 + b2)
             out[k] = out.get(k, 0) + c1 * c2
-    return w1 + w2, {k: c for k, c in out.items() if c}
+    return {k: c for k, c in out.items() if c}
 
 
-def _wmul_cases():
-    rng = random.Random(5)
-    edge = [2 ** (8 * k) - 1 for k in (1, 2, 3)]
-    yield {}, {(0, 0): 3}
-    yield {(1, 2): -7}, {}
-    yield {(0, 0): 1}, {(0, 0): -1}
-    yield {(2, 1): -5}, {(0, 3): 4}
-    for e in edge:
-        # coefficients at 2^(8k) - 1, of both signs, with cancellation
-        yield {(0, 0): e, (1, 0): -e, (0, 1): e}, {(0, 0): -e, (0, 2): e}
-        yield {(0, 0): e + 1, (3, 1): -(e + 1)}, {(1, 1): e, (0, 0): -1}
-        yield {(0, 0): e, (1, 0): e}, {(0, 0): e, (1, 0): -e}  # middle term cancels
-    for k in (1, 2, 3):
-        # a product coefficient at +-(2^(8k-1) - 1), and one past it
-        for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
-            yield {(0, 0): c}, {(0, 0): 1}
-            yield {(2, 0): 1}, {(0, 3): -c}
-        # every term meets at (1, 1)
-        m = 2 ** (4 * k) - 1
-        yield {(1, 0): m, (0, 1): m}, {(0, 1): m, (1, 0): m}
-        yield {(1, 0): -m, (0, 1): -m}, {(0, 1): m, (1, 0): m}
-    # ragged supports: rows f_A of different f_B length, an empty middle
-    # row, a nonzero coefficient at the end of every row
-    yield {(0, 4): 3, (2, 0): -1, (3, 1): 5}, {(0, 0): 2, (1, 2): -7, (3, 5): 1}
-    yield {(0, 0): 1, (0, 6): -2, (1, 1): 4, (4, 2): 9}, {(0, 1): -1, (2, 0): 3}
-    # one term a row; the cross terms cancel
-    yield {(0, 3): 1, (2, 3): 1}, {(0, 3): 1, (2, 3): -1}
-    yield {(0, 0): -1, (5, 4): 2}, {(0, 5): 1, (1, 0): -3, (4, 2): 6}
-    big = 2**200 + 1
-    yield {(0, 2): big, (1, 0): -big, (3, 7): big}, {(0, 0): -big, (2, 3): big}
-    for _ in range(40):
-        t = [
-            {
-                (rng.randint(0, 6), rng.randint(0, 5)): rng.choice([-1, 1]) * rng.choice(
-                    [rng.randint(1, 9), rng.choice(edge), rng.randint(1, 10**40)]
-                )
-                for _ in range(rng.randint(1, 12))
-            }
-            for _ in range(2)
-        ]
-        yield t[0], t[1]
+# x^3 + A x + B as rows
+_CURVE = ({(0, 1): 1}, {(1, 0): 1}, {}, {(0, 0): 1})
+_WMUL_CASES = {
+    "empty_factor": ((), ({(0, 0): 3}, {(1, 2): -7})),
+    # (x + A)(x - A) = x^2 - A^2: the middle row cancels to empty
+    "cancelled_row": (({(1, 0): 1}, {(0, 0): 1}), ({(1, 0): -1}, {(0, 0): 1})),
+    # rows of different lengths, with an empty middle row
+    "ragged": (
+        ({(0, 4): 3, (2, 0): -1}, {}, {(3, 1): 5, (0, 0): 2}),
+        ({(1, 2): -7}, {(0, 0): 2, (3, 5): 1, (0, 6): -2**200}),
+    ),
+    "psi3_squared": (divpoly._BASE[3][1], divpoly._BASE[3][1]),
+    "curve_times_psi4": (_CURVE, divpoly._BASE[4][1]),
+}
 
 
-@pytest.mark.parametrize("t1, t2", list(_wmul_cases()))
-def test_wmul_matches_schoolbook(t1, t2):
-    assert divpoly._wmul(7, t1, 4, t2) == _schoolbook(7, t1, 4, t2)
-    assert divpoly._wmul(7, t1, 7, t1) == _schoolbook(7, t1, 7, t1)
+@pytest.mark.parametrize("r1, r2", list(_WMUL_CASES.values()), ids=list(_WMUL_CASES))
+def test_wmul_matches_schoolbook(r1, r2):
+    product = divpoly._wmul(r1, r2)
+    assert _flat(product) == _schoolbook(_flat(r1), _flat(r2))
+    if r1 and r2:
+        assert len(product) == len(r1) + len(r2) - 1
 
 
-# (x^3 + A x + B)^2 = y^4, weight 6
-_CURVE2 = (6, {(0, 0): 1, (0, 1): 2, (0, 2): 1, (1, 0): 2, (1, 1): 2, (2, 0): 1})
-_ORACLE: dict[int, tuple[int, int, dict]] = {}
-_POWERS: dict[tuple[int, int], tuple[int, dict]] = {}
+def test_wmul_keeps_a_cancelled_row_as_an_empty_row():
+    assert divpoly._wmul(*_WMUL_CASES["cancelled_row"]) == ({(2, 0): -1}, {}, {(0, 0): 1})
+
+
+# (x^3 + A x + B)^2 = y^4
+_CURVE2 = _schoolbook(_flat(_CURVE), _flat(_CURVE))
+_ORACLE: dict[int, tuple[int, dict]] = {}
+_POWERS: dict[tuple[int, int], dict] = {}
 
 
 def _oracle(n):
-    """psi_n as (y_factor, xpart_weight, xterms), by the product recursion
+    """psi_n as (y_factor, {(f_x, f_A, f_B): coefficient}), by the product
+    recursion
 
         psi_(2m+1) = psi_(m+2) psi_m^3 - psi_(m-1) psi_(m+1)^3,
         2y psi_(2m) = psi_m (psi_(m+2) psi_(m-1)^2 - psi_(m-2) psi_(m+1)^2)
@@ -90,18 +76,19 @@ def _oracle(n):
     taken by _schoolbook, which shares no code with the package; psi_0 ...
     psi_4 are the closed forms."""
     if n in divpoly._BASE:
-        return divpoly._BASE[n]
+        y_factor, rows = divpoly._BASE[n]
+        return y_factor, _flat(rows)
     if n not in _ORACLE:
         mul = _schoolbook
 
         def part(k):
-            return _oracle(k)[1:]
+            return _oracle(k)[1]
 
         def minus(p, q):
-            out = dict(p[1])
-            for key, c in q[1].items():
+            out = dict(p)
+            for key, c in q.items():
                 out[key] = out.get(key, 0) - c
-            return p[0], {key: c for key, c in out.items() if c}
+            return {key: c for key, c in out.items() if c}
 
         m = n // 2
         if n % 2:
@@ -109,16 +96,16 @@ def _oracle(n):
             # the even pair of psi_m, psi_(m+2) or psi_(m-1), psi_(m+1)
             # carries y^4, taken into its linear factor
             if m % 2 == 0:
-                lin_a = mul(*_CURVE2, *lin_a)
+                lin_a = mul(_CURVE2, lin_a)
             else:
-                lin_b = mul(*_CURVE2, *lin_b)
+                lin_b = mul(_CURVE2, lin_b)
             cube_m, cube_p = _power(m, 3), _power(m + 1, 3)
-            _ORACLE[n] = (0, *minus(mul(*lin_a, *cube_m), mul(*lin_b, *cube_p)))
+            _ORACLE[n] = (0, minus(mul(lin_a, cube_m), mul(lin_b, cube_p)))
         else:
             sq_m, sq_p = _power(m - 1, 2), _power(m + 1, 2)
-            w, t = mul(*part(m), *minus(mul(*part(m + 2), *sq_m), mul(*part(m - 2), *sq_p)))
+            t = mul(part(m), minus(mul(part(m + 2), sq_m), mul(part(m - 2), sq_p)))
             assert all(c % 2 == 0 for c in t.values())
-            _ORACLE[n] = (1, w, {key: c // 2 for key, c in t.items()})
+            _ORACLE[n] = (1, {key: c // 2 for key, c in t.items()})
     return _ORACLE[n]
 
 
@@ -126,25 +113,25 @@ def _power(k, e):
     """The y-free part of psi_k squared (e = 2) or cubed (e = 3): the
     recursion reads each about twice, and they are built once."""
     if (k, e) not in _POWERS:
-        part = _oracle(k)[1:]
-        _POWERS[k, e] = _schoolbook(*part, *(part if e == 2 else _power(k, 2)))
+        part = _oracle(k)[1]
+        _POWERS[k, e] = _schoolbook(part, part if e == 2 else _power(k, 2))
     return _POWERS[k, e]
 
 
 def test_psi_matches_product_recursion():
     for n in range(1, 25):
         poly = psi(n)
-        assert (poly.y_factor, poly.xpart_weight, poly.xterms) == _oracle(n), n
+        assert (poly.y_factor, _flat(poly.rows)) == _oracle(n), n
 
 
 def test_base_cases_match_closed_forms():
     p3 = psi(3)
-    assert p3.terms == {(4, 0, 0): 3, (2, 1, 0): 6, (1, 0, 1): 12, (0, 2, 0): -1}
+    assert _flat(p3.rows) == {(4, 0, 0): 3, (2, 1, 0): 6, (1, 0, 1): 12, (0, 2, 0): -1}
     assert p3.y_factor == 0
     p2 = psi(2)
-    assert p2.y_factor == 1 and p2.terms == {(0, 0, 0): 2}
+    assert p2.y_factor == 1 and _flat(p2.rows) == {(0, 0, 0): 2}
     p4 = psi(4)
-    assert (p4.y_factor, p4.xpart_weight, p4.xterms) == divpoly._BASE[4]
+    assert (p4.y_factor, p4.rows) == divpoly._BASE[4]
 
 
 def test_inexact_division_raises_and_exits_2(monkeypatch, capsys):
@@ -161,15 +148,20 @@ def test_inexact_division_raises_and_exits_2(monkeypatch, capsys):
 def test_weighted_homogeneity_and_leading_coeff(n):
     poly = psi(n)
     total = Fraction(n * n - 1, 2)
-    for (fx, fa, fb) in poly.terms:
+    for (fx, fa, fb) in _flat(poly.rows):
         assert fx + 2 * fa + 3 * fb + Fraction(3, 2) * poly.y_factor == total
-    assert poly.x_leading_coeff() == n
-    # x-degree of the y-stripped part
+    # the top row is n x^d, with d the x-degree of the y-stripped part
     expected = (n * n - 1) // 2 if n % 2 else (n * n - 4) // 2
-    if n > 1:
-        assert poly.x_degree() == expected
-    for fx in range(-1, poly.x_degree() + 2):
-        assert poly.x_coeff(fx) == {(fa, fb): c for (f, fa, fb), c in poly.terms.items() if f == fx}
+    assert len(poly.rows) - 1 == expected
+    assert poly.rows[-1] == {(0, 0): n}
+
+
+def test_no_two_terms_share_a_weight_and_an_absolute_coefficient():
+    # verify_coeff_growth keeps the first of equal worst ratios: with no such
+    # pair in any psi_n, its witness does not depend on the order of the terms
+    for n in range(2, divpoly.PSI_N_MAX + 1):
+        seen = [(2 * fa + 3 * fb, abs(c)) for row in psi(n).rows for (fa, fb), c in row.items()]
+        assert len(set(seen)) == len(seen), n
 
 
 def psi_value(curve: CurveModel, p: CurvePoint, n: int) -> Fraction:
@@ -196,9 +188,9 @@ def test_psi_value_matches_symbolic():
         poly = psi(n)
         sym = sum(
             c * p.x**fx * Fraction(curve.a) ** fa * Fraction(curve.b) ** fb
-            for (fx, fa, fb), c in poly.terms.items()
+            for (fx, fa, fb), c in _flat(poly.rows).items()
         ) * p.y**poly.y_factor
-        assert psi_value(curve, p, n) == sym
+        assert psi_value(curve, p, n) == sym == poly.value(curve.a, curve.b, p.x, p.y)
 
 
 def test_multiply_point_equals_iterated_addition():
@@ -257,13 +249,16 @@ def test_triple_root_identity():
 
 @pytest.mark.parametrize("weight", [8, 9], ids=["psi3_squared", "curve_times_psi4"])
 def test_triple_root_identity_fails_on_one_wrong_product_coefficient(weight, monkeypatch):
-    # +1 on the A coefficient of one of the check's two products: the
-    # polynomial stays monic of degree 9, so the sampled values must catch it
+    # +1 on the A coefficient, in the x^(weight - 2) row, of one of the
+    # check's two products: the polynomial stays monic of degree 9, so the
+    # sampled values must catch it
     product = divpoly._wmul
 
     def off_by_one(*factors):
-        w, t = product(*factors)
-        return w, {**t, (1, 0): t.get((1, 0), 0) + (w == weight)}
+        rows = list(product(*factors))
+        if len(rows) == weight + 1:
+            rows[-3] = {**rows[-3], (1, 0): rows[-3].get((1, 0), 0) + 1}
+        return tuple(rows)
 
     monkeypatch.setattr(divpoly, "_wmul", off_by_one)
     assert not triple_root_identity_check(CurveModel(1, 6), CurvePoint.affine(3, 6), 100)
@@ -275,13 +270,13 @@ def test_psi_never_reads_or_writes_a_cache_directory(tmp_path, monkeypatch):
     # psi_9 pickled with wrong terms, in the on-disk format that older
     # versions loaded from the directory INTEGRAL_CENSUS_CACHE named: psi
     # builds psi_9 by the recursion and leaves the directory as it was
-    want = divpoly.DivPoly(9, *_oracle(9))
-    planted = divpoly.DivPoly(9, want.y_factor, want.xpart_weight, {(0, 0): 1})
+    planted = divpoly.DivPoly(9, 0, ({(0, 0): 1},))
     blob = pickle.dumps(("integral-census psi cache v2", planted))
     (tmp_path / "psi_9.pkl").write_bytes(blob)
     monkeypatch.setenv("INTEGRAL_CENSUS_CACHE", str(tmp_path))
     monkeypatch.setattr(divpoly, "_psi_cache", {})
-    assert psi(9) == want
+    got = psi(9)
+    assert (got.y_factor, _flat(got.rows)) == _oracle(9) and got != planted
     assert [f.name for f in tmp_path.iterdir()] == ["psi_9.pkl"]
     assert (tmp_path / "psi_9.pkl").read_bytes() == blob
 
