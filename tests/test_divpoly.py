@@ -47,12 +47,69 @@ _WMUL_CASES = {
 }
 
 
-@pytest.mark.parametrize("r1, r2", list(_WMUL_CASES.values()), ids=list(_WMUL_CASES))
-def test_wmul_matches_schoolbook(r1, r2):
-    product = divpoly._wmul(r1, r2)
-    assert _flat(product) == _schoolbook(_flat(r1), _flat(r2))
-    if r1 and r2:
-        assert len(product) == len(r1) + len(r2) - 1
+def _graded(t):
+    """A map (f_A, f_B) -> coefficient as rows, the term A^f_A B^f_B in row
+    f_A + f_B: a grading, so products of rows are products of the maps."""
+    rows = [{} for _ in range(max((fa + fb + 1 for fa, fb in t), default=0))]
+    for (fa, fb), c in t.items():
+        rows[fa + fb][fa, fb] = c
+    return tuple(rows)
+
+
+def _graded_cases():
+    rng = random.Random(5)
+    edge = [2 ** (8 * k) - 1 for k in (1, 2, 3)]
+    yield {}, {(0, 0): 3}
+    yield {(1, 2): -7}, {}
+    yield {(0, 0): 1}, {(0, 0): -1}
+    yield {(2, 1): -5}, {(0, 3): 4}
+    for e in edge:
+        # coefficients at 2^(8k) - 1, of both signs, with cancellation
+        yield {(0, 0): e, (1, 0): -e, (0, 1): e}, {(0, 0): -e, (0, 2): e}
+        yield {(0, 0): e + 1, (3, 1): -(e + 1)}, {(1, 1): e, (0, 0): -1}
+        yield {(0, 0): e, (1, 0): e}, {(0, 0): e, (1, 0): -e}  # middle term cancels
+    for k in (1, 2, 3):
+        # a product coefficient at +-(2^(8k-1) - 1), and one past it
+        for c in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            yield {(0, 0): c}, {(0, 0): 1}
+            yield {(2, 0): 1}, {(0, 3): -c}
+        # every term meets at (1, 1)
+        m = 2 ** (4 * k) - 1
+        yield {(1, 0): m, (0, 1): m}, {(0, 1): m, (1, 0): m}
+        yield {(1, 0): -m, (0, 1): -m}, {(0, 1): m, (1, 0): m}
+    # ragged supports: rows of different lengths, an empty middle row, a
+    # nonzero coefficient at the end of every row
+    yield {(0, 4): 3, (2, 0): -1, (3, 1): 5}, {(0, 0): 2, (1, 2): -7, (3, 5): 1}
+    yield {(0, 0): 1, (0, 6): -2, (1, 1): 4, (4, 2): 9}, {(0, 1): -1, (2, 0): 3}
+    # one term a row; the cross terms cancel
+    yield {(0, 3): 1, (2, 3): 1}, {(0, 3): 1, (2, 3): -1}
+    yield {(0, 0): -1, (5, 4): 2}, {(0, 5): 1, (1, 0): -3, (4, 2): 6}
+    big = 2**200 + 1
+    yield {(0, 2): big, (1, 0): -big, (3, 7): big}, {(0, 0): -big, (2, 3): big}
+    for _ in range(40):
+        t = [
+            {
+                (rng.randint(0, 6), rng.randint(0, 5)): rng.choice([-1, 1]) * rng.choice(
+                    [rng.randint(1, 9), rng.choice(edge), rng.randint(1, 10**40)]
+                )
+                for _ in range(rng.randint(1, 12))
+            }
+            for _ in range(2)
+        ]
+        yield t[0], t[1]
+
+
+@pytest.mark.parametrize(
+    "t1, t2",
+    [(_graded(t1), _graded(t2)) for t1, t2 in _graded_cases()]
+    + [pytest.param(*case, id=name) for name, case in _WMUL_CASES.items()],
+)
+def test_wmul_matches_schoolbook(t1, t2):
+    for r1, r2 in ((t1, t2), (t1, t1)):
+        product = divpoly._wmul(r1, r2)
+        assert _flat(product) == _schoolbook(_flat(r1), _flat(r2))
+        if r1 and r2:
+            assert len(product) == len(r1) + len(r2) - 1
 
 
 def test_wmul_keeps_a_cancelled_row_as_an_empty_row():
